@@ -11,10 +11,10 @@ test:
 	$(GO) test ./...
 
 # The concurrency-heavy packages under the race detector, mirroring CI: the
-# farm's single-flight dedup and backpressure, the event engine the whole
-# simulation core schedules through, and the HTTP server's drain path.
+# farm's single-flight dedup and backpressure, the HTTP server's drain path,
+# and the cluster coordinator.
 race:
-	$(GO) test -race -count=1 -timeout 15m ./internal/farm/... ./internal/event/... ./internal/server/... ./internal/cluster/...
+	$(GO) test -race -count=1 -timeout 15m ./internal/farm/... ./internal/server/... ./internal/cluster/...
 
 # lint = the repo's static gates: the cpelint pass suite (DESIGN §12), go
 # vet, and gofmt. staticcheck runs in CI where it can be installed.

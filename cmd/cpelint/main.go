@@ -1,7 +1,7 @@
 // Command cpelint is the multichecker for the repository's static
-// invariants: determinism of the simulation core, event-engine scheduling
-// safety, errors-not-panics in library code, and suppression hygiene for
-// //cpelint:ignore directives (DESIGN §12).
+// invariants: determinism of the simulation core, errors-not-panics in
+// library code, the annotation-driven dataflow passes (DESIGN §17), and
+// suppression hygiene for //cpelint:ignore directives (DESIGN §12).
 //
 // It runs in two modes:
 //
@@ -37,7 +37,7 @@ import (
 // version participates in go vet's action cache key (reported via -V=full);
 // bump it when pass behavior changes so cached clean verdicts are not
 // replayed over new rules.
-const version = "v1.1.0"
+const version = "v1.2.0"
 
 func main() {
 	os.Exit(run(os.Args[1:]))

@@ -37,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cp"
 	"repro/internal/energy"
-	"repro/internal/event"
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/hip"
@@ -309,29 +308,13 @@ type Options struct {
 	Mutate Mutation
 
 	// Profiler, when non-nil, samples host wall-time attribution per
-	// simulator phase (calendar, CP, CCT, sync, kernel, NoC) during the run;
+	// simulator phase (CP, CCT, sync, kernel, NoC) during the run;
 	// the result lands in Report.Profile. Profiling is observational only —
 	// phase marks are atomic stores the simulation never reads back — and
 	// wall-clock values are excluded from every determinism comparison.
 	// Profilers are single-use: pass a fresh NewPhaseProfiler per run.
 	Profiler *PhaseProfiler
-
-	// Calendar selects the event engine's calendar implementation: the
-	// default timer wheel or the reference binary heap (kept for
-	// differential testing). The two deliver events in identical
-	// (time, schedule-order) sequence, so every report is byte-identical
-	// regardless of the choice.
-	Calendar event.CalendarKind
 }
-
-// CalendarKind selects the event engine's calendar implementation.
-type CalendarKind = event.CalendarKind
-
-// Calendar kinds for Options.Calendar, re-exported from the event package.
-const (
-	CalendarWheel = event.CalendarWheel
-	CalendarHeap  = event.CalendarHeap
-)
 
 // Mutation selects a deliberate CP weakening for mutation testing.
 type Mutation int
@@ -620,7 +603,6 @@ func RunStreamsContext(ctx context.Context, cfg Config, specs []StreamSpec, opt 
 		InferAnnotations: opt.InferAnnotations,
 		PerKernel:        opt.PerKernelStats,
 		Ctx:              ctx,
-		Calendar:         opt.Calendar,
 	})
 	if err != nil {
 		return nil, err

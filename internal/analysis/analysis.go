@@ -26,7 +26,7 @@ import (
 // ignores pass validates //cpelint:ignore directives against this list, and
 // the suite registry asserts it stays in sync.
 var PassNames = []string{
-	"determinism", "eventsafety", "errpanic",
+	"determinism", "errpanic",
 	"noalloc", "unitsafety", "ctxflow", "exhaustive",
 	"ignores",
 }
@@ -166,26 +166,6 @@ func IsPkgFunc(fn *types.Func, pkgPath, name string) bool {
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Recv() == nil
-}
-
-// IsEngineMethod reports whether fn is a method with the given name whose
-// receiver is the event engine (a type named Engine declared in a package
-// named event). The package is matched by name rather than import path so
-// analysistest fixtures can provide a stub event package.
-func IsEngineMethod(fn *types.Func, name string) bool {
-	if fn == nil || fn.Name() != name || fn.Pkg() == nil || fn.Pkg().Name() != "event" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Engine"
 }
 
 // LangVersionBefore reports whether goVersion (a "go1.N" string) is known to

@@ -5,7 +5,7 @@
 //
 // Fixture layout mirrors x/tools: <testdata>/src/<pkgpath>/*.go. Imports in
 // fixture files resolve against <testdata>/src first (so a fixture can
-// provide stubs, such as a fake event package for the engine-aware rules),
+// provide stubs, such as fake event and mem packages for the unit rules),
 // then against the standard library via the source importer, which needs no
 // pre-built export data and therefore works offline.
 //

@@ -28,7 +28,7 @@ var Analyzer = &analysis.Analyzer{
 // legitimately read the wall clock for timeouts and jitter and are excluded;
 // they must never feed wall-clock values back into a simulation.
 var SimCritical = map[string]bool{
-	// The ISSUE 5 core set: the event engine and everything it drives.
+	// The core set: the simulation clock and everything it drives.
 	"event": true, "gpu": true, "cp": true, "core": true, "coherence": true,
 	"hmg": true, "mem": true, "oracle": true, "gen": true, "faults": true,
 	"noc": true, "stats": true,
@@ -86,7 +86,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		switch fn.Name() {
 		case "Now", "Since", "Until":
 			pass.Reportf(call.Pos(),
-				"time.%s in simulation-critical package %s: simulated time must come from the event engine clock, never the wall clock",
+				"time.%s in simulation-critical package %s: simulated time must come from the simulation clock, never the wall clock",
 				fn.Name(), pass.Pkg.Name())
 		}
 	case "math/rand", "math/rand/v2":
@@ -105,8 +105,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 
 // checkFuncBody finds range-over-map statements whose body leaks the
 // iteration order into an ordered artifact: a slice append (unless the slice
-// is sorted later in the same function), ordered text output, a hash, or the
-// event calendar.
+// is sorted later in the same function), ordered text output, or a hash.
 func checkFuncBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
@@ -173,7 +172,7 @@ func checkOrderedAssign(pass *analysis.Pass, funcBody *ast.BlockStmt, rng *ast.R
 }
 
 // checkOrderedCall flags calls inside a map-range body that emit ordered or
-// hashed output, or schedule events, in iteration order.
+// hashed output in iteration order.
 func checkOrderedCall(pass *analysis.Pass, rng *ast.RangeStmt, call *ast.CallExpr) {
 	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil {
@@ -191,10 +190,6 @@ func checkOrderedCall(pass *analysis.Pass, rng *ast.RangeStmt, call *ast.CallExp
 		pass.Reportf(call.Pos(),
 			"%s.%s inside map iteration feeds bytes in Go's randomized map order (ordered artifacts and hashes — ImageHash, farm cache keys — must not depend on it); iterate sorted keys instead",
 			recvTypeName(sig), fn.Name())
-	case analysis.IsEngineMethod(fn, "Schedule") || analysis.IsEngineMethod(fn, "ScheduleAfter"):
-		pass.Reportf(call.Pos(),
-			"event.Engine.%s inside map iteration: same-cycle events tie-break by insertion order, so scheduling from a map range makes delivery order run-dependent; iterate sorted keys instead",
-			fn.Name())
 	}
 }
 

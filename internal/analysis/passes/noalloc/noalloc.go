@@ -1,10 +1,10 @@
 // Package noalloc implements the cpelint pass behind the //cpelide:noalloc
-// function annotation. The simulator's hot paths — timer-wheel insert/pop,
-// the engine's event pool, RangeSet algebra, cache lookups, stats counters —
-// were hand-optimized to zero steady-state allocations (DESIGN §16), and the
-// BENCH_core gate fails on allocation regressions; this pass makes the same
-// invariant a compile-time property, so a regression is reported at the line
-// that introduces it rather than as an opaque allocs/op delta.
+// function annotation. The simulator's hot paths — RangeSet algebra, cache
+// lookups, stats counters — were hand-optimized to zero steady-state
+// allocations (DESIGN §16), and the BENCH_core gate fails on allocation
+// regressions; this pass makes the same invariant a compile-time property,
+// so a regression is reported at the line that introduces it rather than as
+// an opaque allocs/op delta.
 //
 // Inside an annotated body the pass flags every construct that the compiler
 // lowers to a heap allocation (or that it cannot prove stack-bound without
@@ -22,10 +22,10 @@
 //   - calls to functions that are not themselves annotated //cpelide:noalloc
 //     (a short allowlist covers provably non-allocating stdlib helpers)
 //
-// Amortized growth of engine-owned storage (an event pool refilling, a
-// RangeSet spilling past its inline array) is a deliberate exception: those
-// sites carry a //cpelint:ignore noalloc directive with a reason, and the
-// documented baseline in DESIGN §17 enumerates every one.
+// Amortized growth of reused storage (a RangeSet spilling past its inline
+// array) is a deliberate exception: those sites carry a //cpelint:ignore
+// noalloc directive with a reason, and the documented baseline in DESIGN §17
+// enumerates every one.
 package noalloc
 
 import (

@@ -10,7 +10,6 @@ import (
 	"repro/internal/analysis/passes/ctxflow"
 	"repro/internal/analysis/passes/determinism"
 	"repro/internal/analysis/passes/errpanic"
-	"repro/internal/analysis/passes/eventsafety"
 	"repro/internal/analysis/passes/exhaustive"
 	"repro/internal/analysis/passes/ignores"
 	"repro/internal/analysis/passes/noalloc"
@@ -21,7 +20,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		determinism.Analyzer,
-		eventsafety.Analyzer,
 		errpanic.Analyzer,
 		noalloc.Analyzer,
 		unitsafety.Analyzer,

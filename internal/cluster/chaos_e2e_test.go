@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,6 +62,23 @@ func startCoord(t *testing.T, addr string, opts Options) *coordServer {
 
 func (cs *coordServer) url() string { return "http://" + cs.addr }
 
+// errCountingTransport counts round trips that fail at the transport level
+// (refused or reset connections), the errors a campaign absorbs as
+// transient retries. failed is closed when the count first reaches one.
+type errCountingTransport struct {
+	base   http.RoundTripper
+	errors atomic.Int64
+	failed chan struct{}
+}
+
+func (c *errCountingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := c.base.RoundTrip(r)
+	if err != nil && c.errors.Add(1) == 1 {
+		close(c.failed)
+	}
+	return resp, err
+}
+
 // kill drops the listener and every active connection, then stops the
 // coordinator. The journal is left exactly as the crash instant had it —
 // appends are synced per record, so the successor replays the same state a
@@ -104,8 +122,12 @@ func TestChaosCoordinatorCrashRecovery(t *testing.T) {
 		}
 	}
 
+	base := http.DefaultTransport.(*http.Transport).Clone()
+	defer base.CloseIdleConnections()
+	tr := &errCountingTransport{base: base, failed: make(chan struct{})}
 	campaign := Campaign{
 		BaseURL:        cs1.url(),
+		Client:         &http.Client{Transport: tr},
 		Jobs:           200,
 		Distinct:       100,
 		Concurrency:    16,
@@ -136,6 +158,14 @@ func TestChaosCoordinatorCrashRecovery(t *testing.T) {
 	}
 	cs1.kill()
 	t.Log("killed coordinator mid-campaign")
+
+	// Keep the coordinator down until a client has hit the dead address, so
+	// the outage is visible to the campaign however fast the restart is.
+	select {
+	case <-tr.failed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no client request failed while the coordinator was down")
+	}
 
 	// Restart over the same journal at the same address. Workers do not
 	// re-register: membership comes back from the journal.
@@ -173,8 +203,8 @@ func TestChaosCoordinatorCrashRecovery(t *testing.T) {
 	if res.TransientRetries == 0 {
 		t.Error("campaign saw no transient errors despite the coordinator outage")
 	}
-	t.Logf("campaign: %.1f jobs/s, p99 %.1fms, resubmits %d, transient retries %d",
-		res.ThroughputJPS, res.P99MS, res.Resubmits, res.TransientRetries)
+	t.Logf("campaign: %.1f jobs/s, p99 %.1fms, resubmits %d, transient retries %d (transport errors %d)",
+		res.ThroughputJPS, res.P99MS, res.Resubmits, res.TransientRetries, tr.errors.Load())
 
 	expo := scrape(t, cs2.url())
 	if v, ok := metrics.ParseValue(expo, "cluster_journal_recovered_jobs"); !ok || v == 0 {

@@ -76,20 +76,14 @@ type RunnerConfig struct {
 	// end-of-program activity).
 	PerKernel bool
 	// Ctx, when non-nil, is polled at every kernel boundary: once it is
-	// canceled the runner stops dispatching, drains the event calendar, and
-	// Canceled reports true. Kernels already dispatched complete (the
-	// simulated GPU has no preemption), so cancellation latency is one
-	// kernel span.
+	// canceled the runner stops dispatching and Canceled reports true.
+	// Kernels already dispatched complete (the simulated GPU has no
+	// preemption), so cancellation latency is one kernel span.
 	Ctx context.Context
-	// Calendar selects the event engine's calendar implementation (default
-	// timer wheel; the reference heap is kept for differential testing).
-	// Both deliver events in identical order, so reports are byte-identical.
-	Calendar event.CalendarKind
 }
 
-// Runner owns the global CP's dispatch loop over the event engine.
+// Runner owns the global CP's dispatch loop.
 type Runner struct {
-	Eng *event.Engine
 	X   *gpu.Executor
 	Cfg RunnerConfig
 
@@ -102,7 +96,6 @@ type Runner struct {
 	FinalDelta *stats.Sheet
 
 	canceled bool
-	err      error // first internal failure (e.g. a causality bug); Run returns it
 }
 
 type streamState struct {
@@ -118,7 +111,6 @@ type streamState struct {
 func NewRunner(x *gpu.Executor, specs []StreamSpec, rc RunnerConfig) (*Runner, error) {
 	m := x.M
 	r := &Runner{
-		Eng:         event.NewWithCalendar(rc.Calendar),
 		X:           x,
 		Cfg:         rc,
 		chipletBusy: make([]event.Time, m.Cfg.NumChiplets),
@@ -148,18 +140,6 @@ func NewRunner(x *gpu.Executor, specs []StreamSpec, rc RunnerConfig) (*Runner, e
 		r.streams = append(r.streams, ss)
 		prePlace(m, spec.Workload, chs, rc.Placement)
 	}
-	// The engine clocks the recorder and the fault injector so emissions
-	// deep in the machine carry launch-boundary timestamps without any time
-	// plumbing. Both calls are nil-safe, and m.Faults is read at delivery
-	// time so an injector installed after NewRunner is still clocked.
-	rec := m.Trace
-	r.Eng.OnDeliver = func(t event.Time) {
-		rec.SetNow(uint64(t))
-		m.Faults.SetNow(uint64(t))
-	}
-	// The engine and the executor share the executor's profiler so calendar
-	// time, CP dispatch, and kernel execution are attributed separately.
-	r.Eng.Prof = x.Prof
 	return r, nil
 }
 
@@ -259,17 +239,9 @@ func prePlace(m *machine.Machine, w *kernels.Workload, chiplets []int, policy Pa
 }
 
 // Run executes all streams to completion and returns the total cycle count
-// (including the end-of-program releases). A non-nil error reports an
-// internal failure (a causality bug surfaced by the event engine); the
-// returned cycle count is then meaningless.
+// (including the end-of-program releases). The error is always nil.
 func (r *Runner) Run() (uint64, error) {
-	if err := r.Eng.Schedule(0, event.HandlerFunc(r.dispatch), nil); err != nil {
-		return 0, err
-	}
-	end := r.Eng.Run()
-	if r.err != nil {
-		return 0, r.err
-	}
+	end := r.loop()
 	var pre *stats.Sheet
 	if r.Cfg.PerKernel {
 		pre = r.X.M.Sheet.Clone()
@@ -282,12 +254,41 @@ func (r *Runner) Run() (uint64, error) {
 	return total, nil
 }
 
-// fail records the first internal error and stops the event loop.
-func (r *Runner) fail(err error) {
-	if r.err == nil {
-		r.err = err
+// loop dispatches at time zero and then at each stream completion time in
+// increasing order, and returns the time of the last dispatch. A dispatched
+// kernel that takes time ends its stream's pass, so each stream has at most
+// one pending completion, its prevEnd. When several kernels end at the same
+// time one dispatch pass serves them all: a pass only raises prevEnd and
+// chipletBusy, so no stream it skipped can become ready later at that time.
+func (r *Runner) loop() event.Time {
+	if p := r.X.Prof; p != nil {
+		prev := p.SetPhase(event.PhaseCP)
+		defer p.SetPhase(prev)
 	}
-	r.Eng.Stop()
+	m := r.X.M
+	var now event.Time
+	for {
+		// Clock the recorder and the fault injector so emissions deep in
+		// the machine carry launch-boundary timestamps without any time
+		// plumbing. Both calls are nil-safe, and m.Faults is read here so an
+		// injector installed after NewRunner is still clocked.
+		m.Trace.SetNow(uint64(now))
+		m.Faults.SetNow(uint64(now))
+		r.dispatch(now)
+		if r.canceled {
+			return now
+		}
+		next := now
+		for _, ss := range r.streams {
+			if ss.prevEnd > now && (next == now || ss.prevEnd < next) {
+				next = ss.prevEnd
+			}
+		}
+		if next == now {
+			return now
+		}
+		now = next
+	}
 }
 
 // cancelRun stops dispatching because Cfg.Ctx was canceled. The cancel can
@@ -300,7 +301,6 @@ func (r *Runner) cancelRun() {
 	if d, ok := r.X.P.(coherence.Degradable); ok {
 		d.ConservativeReset()
 	}
-	r.Eng.Stop()
 }
 
 // Canceled reports whether the run was stopped early because Cfg.Ctx was
@@ -320,14 +320,8 @@ func (r *Runner) ctxDone() bool {
 	}
 }
 
-// dispatch issues every stream whose head kernel is ready at the current
-// time, then relies on completion events to re-trigger.
-func (r *Runner) dispatch(event.Event) {
-	if p := r.Eng.Prof; p != nil {
-		prev := p.SetPhase(event.PhaseCP)
-		defer p.SetPhase(prev)
-	}
-	now := r.Eng.Now()
+// dispatch issues every stream whose head kernel is ready at time now.
+func (r *Runner) dispatch(now event.Time) {
 	if r.ctxDone() {
 		r.cancelRun()
 		return
@@ -367,10 +361,6 @@ func (r *Runner) dispatch(event.Event) {
 			}
 			ss.next++
 			if endT > now {
-				if err := r.Eng.Schedule(endT, event.HandlerFunc(r.dispatch), nil); err != nil {
-					r.fail(err)
-					return
-				}
 				break // later kernels of this stream wait for completion
 			}
 		}

@@ -1,7 +1,7 @@
 package event
 
 // Phase identifies a simulator component for host wall-time attribution.
-// The engine and the components it drives mark the phase they are entering
+// The CP runner and the components it drives mark the phase they are entering
 // through a Profiler; a sampling profiler (internal/metrics.PhaseProfiler)
 // then attributes host time to whichever phase was current at each sample.
 //
@@ -12,14 +12,12 @@ package event
 type Phase uint8
 
 const (
-	// PhaseIdle is everything outside the event loop: workload
+	// PhaseIdle is everything outside the dispatch loop: workload
 	// construction, machine assembly, report generation.
 	PhaseIdle Phase = iota
-	// PhaseCalendar is event-calendar bookkeeping: heap pushes and pops,
-	// clock advancement, dispatch-loop overhead.
-	PhaseCalendar
-	// PhaseCP is the global command processor: stream readiness checks,
-	// launch dispatch, per-kernel record keeping.
+	// PhaseCP is the global command processor: the dispatch loop's clock
+	// stepping, stream readiness checks, launch dispatch, per-kernel record
+	// keeping.
 	PhaseCP
 	// PhaseCCT is coherence decision making: the Chiplet Coherence Table
 	// lookup (or the baseline/HMG equivalent) that turns a launch into a
@@ -40,13 +38,12 @@ const (
 )
 
 var phaseNames = [NumPhases]string{
-	PhaseIdle:     "idle",
-	PhaseCalendar: "calendar",
-	PhaseCP:       "cp",
-	PhaseCCT:      "cct",
-	PhaseSync:     "sync",
-	PhaseKernel:   "kernel",
-	PhaseNoC:      "noc",
+	PhaseIdle:   "idle",
+	PhaseCP:     "cp",
+	PhaseCCT:    "cct",
+	PhaseSync:   "sync",
+	PhaseKernel: "kernel",
+	PhaseNoC:    "noc",
 }
 
 func (p Phase) String() string {

@@ -275,8 +275,8 @@ func (i *Injector) chance(p float64) bool {
 	return float64(i.next()>>11)/(1<<53) < p
 }
 
-// SetNow advances the injector's clock; the event engine drives this as it
-// delivers events, like the trace recorder's clock.
+// SetNow advances the injector's clock; the CP runner drives this at every
+// dispatch step, like the trace recorder's clock.
 func (i *Injector) SetNow(t uint64) {
 	if i == nil {
 		return

@@ -172,8 +172,8 @@ func New(limit int) *Recorder {
 // event payloads (snapshots, audit records) should check it first.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// SetNow advances the recorder's clock; the event engine drives this as it
-// delivers events, so emissions deep in the machine need no time plumbing.
+// SetNow advances the recorder's clock; the CP runner drives this at every
+// dispatch step, so emissions deep in the machine need no time plumbing.
 func (r *Recorder) SetNow(t uint64) {
 	if r == nil {
 		return
