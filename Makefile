@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint cpelint fmt bench bench-gate cluster loadgen cluster-smoke chaos-smoke
+.PHONY: all build test race lint cpelint fmt cluster loadgen cluster-smoke chaos-smoke
 
 all: build test lint
 
@@ -52,13 +52,3 @@ cluster-smoke:
 # Writes BENCH_chaos.json.
 chaos-smoke:
 	@bash scripts/chaos_smoke.sh
-
-# Re-measure the committed performance baseline (run on a quiet machine).
-bench:
-	$(GO) run ./cmd/bench -out BENCH_core.json
-
-# The CI regression gate, locally: measure now, compare the
-# machine-independent metrics against the committed baseline.
-bench-gate:
-	$(GO) run ./cmd/bench -benchtime 200ms -out /tmp/BENCH_current.json
-	$(GO) run ./cmd/bench -against /tmp/BENCH_current.json -baseline BENCH_core.json -metrics allocs,cycles,accesses -max-regress 0.10

@@ -8,23 +8,16 @@
 // were issued vs. elided on each chiplet, and the coherence-table state
 // that justified the decision.
 //
-// With -phases it reads a report JSON file (a single library Report or a
-// cpelide-sim -json array) and prints each run's phase-profile table — the
-// host wall-time attribution a profiled run recorded.
-//
 // Usage:
 //
 //	inspect -workload hotspot3D
 //	inspect -workload sssp -launches 8 -chiplets 4
 //	inspect -workload color -audit -launches 12
-//	cpelide-sim -workload square -profile -json | inspect -phases -
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"strings"
@@ -48,16 +41,8 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "footprint scale")
 		audit    = flag.Bool("audit", false, "run a CPElide simulation and print the elision audit log")
 		showTbl  = flag.Bool("audit-table", false, "with -audit, also print each boundary's pre-launch table state")
-		phases   = flag.String("phases", "", "print phase-profile tables from a report JSON file ('-' = stdin) and exit")
 	)
 	flag.Parse()
-
-	if *phases != "" {
-		if err := runPhases(*phases); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	alloc := kernels.NewAllocator(0x1000_0000, 4096)
 	w, err := workloads.Build(*name, alloc, workloads.Params{Scale: *scale})
@@ -200,80 +185,6 @@ func runAudit(w *kernels.Workload, chiplets, launches int, showTable bool) {
 	fmt.Printf("\ntotals: acquires issued/elided %d/%d, releases issued/elided %d/%d\n",
 		acqI, acqE, relI, relE)
 	fmt.Printf("trace: %d events recorded\n", rec.Len())
-}
-
-// phaseEntry is the subset of a report record -phases needs. Field pairs
-// cover both spellings: the library Report marshals Go field names
-// (Workload/Protocol/Profile), cpelide-sim -json uses lowercase tags.
-type phaseEntry struct {
-	Workload  string                `json:"workload"`
-	Protocol  string                `json:"protocol"`
-	Profile   *cpelide.PhaseProfile `json:"profile"`
-	WorkloadU string                `json:"Workload"`
-	ProtocolU string                `json:"Protocol"`
-	ProfileU  *cpelide.PhaseProfile `json:"Profile"`
-}
-
-func (e phaseEntry) unify() (workload, protocol string, prof *cpelide.PhaseProfile) {
-	workload, protocol, prof = e.Workload, e.Protocol, e.Profile
-	if workload == "" {
-		workload = e.WorkloadU
-	}
-	if protocol == "" {
-		protocol = e.ProtocolU
-	}
-	if prof == nil {
-		prof = e.ProfileU
-	}
-	return workload, protocol, prof
-}
-
-// runPhases prints the phase-profile table of every run recorded in a report
-// JSON file: a single Report object (cpelide.Run output) or a cpelide-sim
-// -json array. Runs without a profile are counted, not an error — only a
-// file with no profiles at all fails, since that usually means -profile was
-// forgotten.
-func runPhases(path string) error {
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		return err
-	}
-
-	var entries []phaseEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		var single phaseEntry
-		if err := json.Unmarshal(data, &single); err != nil {
-			return fmt.Errorf("%s: not a report JSON object or array: %w", path, err)
-		}
-		entries = []phaseEntry{single}
-	}
-
-	printed := 0
-	for _, e := range entries {
-		workload, protocol, prof := e.unify()
-		if prof == nil {
-			continue
-		}
-		label := workload
-		if protocol != "" {
-			label += "/" + protocol
-		}
-		fmt.Printf("%s %s", label, prof)
-		printed++
-	}
-	if printed == 0 {
-		return fmt.Errorf("%s: no phase profiles in %d record(s) (was the run made with -profile / Options.Profiler?)", path, len(entries))
-	}
-	if skipped := len(entries) - printed; skipped > 0 {
-		fmt.Printf("(%d record(s) had no profile)\n", skipped)
-	}
-	return nil
 }
 
 func min(a, b int) int {

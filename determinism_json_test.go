@@ -47,44 +47,3 @@ func TestReportJSONByteIdentical(t *testing.T) {
 		}
 	}
 }
-
-// Attaching a phase profiler must not perturb the simulation: with the
-// wall-clock Profile field stripped, profiled runs serialize byte-identically
-// to each other and to an unprofiled run. This is the contract that lets
-// -profile ride along on any experiment without invalidating its results.
-func TestReportJSONByteIdenticalWithProfiler(t *testing.T) {
-	run := func(profile bool) []byte {
-		t.Helper()
-		opt := Options{Protocol: ProtocolCPElide, PerKernelStats: true}
-		if profile {
-			opt.Profiler = NewPhaseProfiler(0)
-		}
-		rep, err := Run(DefaultConfig(4), producerConsumer(4), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if profile {
-			if rep.Profile == nil {
-				t.Fatal("profiled run returned no Profile")
-			}
-			if rep.Profile.Switches == 0 {
-				t.Error("profiled run recorded no phase switches")
-			}
-			rep.Profile = nil // strip the wall-clock data
-		} else if rep.Profile != nil {
-			t.Fatal("unprofiled run returned a Profile")
-		}
-		buf, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return buf
-	}
-	p1, p2, bare := run(true), run(true), run(false)
-	if !bytes.Equal(p1, p2) {
-		t.Error("two profiled runs differ after stripping Profile")
-	}
-	if !bytes.Equal(p1, bare) {
-		t.Error("profiled run differs from unprofiled run: the profiler perturbed the simulation")
-	}
-}

@@ -1,7 +1,7 @@
 // Package noalloc implements the cpelint pass behind the //cpelide:noalloc
 // function annotation. The simulator's hot paths — RangeSet algebra, cache
 // lookups, stats counters — were hand-optimized to zero steady-state
-// allocations (DESIGN §16), and the BENCH_core gate fails on allocation
+// allocations (DESIGN §16), and TestRunAllocBudget fails on allocation
 // regressions; this pass makes the same invariant a compile-time property,
 // so a regression is reported at the line that introduces it rather than as
 // an opaque allocs/op delta.

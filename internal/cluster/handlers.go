@@ -16,7 +16,7 @@ import (
 )
 
 // maxBody bounds request bodies the coordinator will buffer for replay.
-const maxBody = 1 << 20
+const maxBody = server.MaxRequestBytes
 
 // Handler returns the coordinator's HTTP surface. It mirrors the worker API
 // (submit, status, result, stats) plus the membership endpoints, and speaks

@@ -261,10 +261,6 @@ func (r *Runner) Run() (uint64, error) {
 // time one dispatch pass serves them all: a pass only raises prevEnd and
 // chipletBusy, so no stream it skipped can become ready later at that time.
 func (r *Runner) loop() event.Time {
-	if p := r.X.Prof; p != nil {
-		prev := p.SetPhase(event.PhaseCP)
-		defer p.SetPhase(prev)
-	}
 	m := r.X.M
 	var now event.Time
 	for {

@@ -178,9 +178,8 @@ func TestKeyErrors(t *testing.T) {
 // or be explicitly listed here as report-irrelevant.
 func TestOptionsKeyCoversOptions(t *testing.T) {
 	irrelevant := map[string]bool{
-		"Trace":    true, // observational only; cached Reports are shared
-		"Oracle":   true, // observer pointer, single-use; callers read it directly
-		"Profiler": true, // wall-clock attribution, nulled before execution
+		"Trace":  true, // observational only; cached Reports are shared
+		"Oracle": true, // observer pointer, single-use; callers read it directly
 	}
 	opt := reflect.TypeOf(cpelide.Options{})
 	key := reflect.TypeOf(optionsKey{})

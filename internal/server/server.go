@@ -332,6 +332,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// MaxRequestBytes bounds a job submission body. Longer bodies are rejected
+// as bad requests. The coordinator buffers submissions under the same bound.
+const MaxRequestBytes = 1 << 20
+
 // Stable machine-readable error codes. Clients switch on Code; messages and
 // HTTP statuses may be reworded, codes may not.
 const (
@@ -365,7 +369,8 @@ func writeErr(w http.ResponseWriter, status int, code string, format string, arg
 // shutdown (503).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, MaxRequestBytes)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -309,6 +310,30 @@ func TestSubmitFaultSpec(t *testing.T) {
 	code, sr2 := post(t, ts, `{"workload": "square", "scale": 0.05, "protocol": "cpelide", "faults": "drop=0.05,parity=0.01", "fault_seed": 8}`)
 	if code != http.StatusAccepted || sr2.ID == sr.ID {
 		t.Fatalf("distinct fault seed: got %d id=%s, want 202 with a fresh id", code, sr2.ID)
+	}
+}
+
+// TestSubmitBodyTooLarge checks a submission longer than MaxRequestBytes is
+// rejected with the bad_request error rather than read to the end.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	eng := farm.New(farm.Options{Workers: 1})
+	defer eng.Close()
+	s := New(eng, 4)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain()
+
+	// Valid JSON once whitespace is skipped, so only the size is at fault.
+	body := `{"workload": "square",` + strings.Repeat(" ", MaxRequestBytes) + `"scale": 0.05}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized body: got %d, want 400", resp.StatusCode)
+	}
+	if e := decodeErr(t, resp); e.Code != ErrCodeBadRequest {
+		t.Errorf("oversized body: code %q, want %q", e.Code, ErrCodeBadRequest)
 	}
 }
 
