@@ -2,8 +2,8 @@
 // seed-driven layer that injects the failures a distributed farm actually
 // sees — dropped connections, slow links, truncated responses, 5xx blips,
 // partitioned nodes, and a store that returns errors — so the recovery
-// machinery (journal replay, reroute, hedging, recompute-on-corruption) can
-// be exercised in tests and smoke runs instead of discovered in production.
+// machinery (journal replay, reroute, recompute-on-corruption) can be
+// exercised in tests and smoke runs instead of discovered in production.
 //
 // It mirrors internal/faults at the serving layer: every decision is drawn
 // from a splitmix64 stream seeded by Config.Seed, using the same

@@ -69,18 +69,6 @@ type Options struct {
 	// Transport overrides the HTTP transport used to reach workers; nil
 	// uses http.DefaultTransport. The chaos harness injects faults here.
 	Transport http.RoundTripper
-	// HedgeAfter, when > 0, enables hedged submits: if a routed job's
-	// owner has not answered within this delay (or the observed
-	// HedgePercentile submit latency, whichever is larger), the job is
-	// re-issued to the next healthy Maglev backend and the first
-	// conclusive answer wins. Safe because jobs are content-addressed:
-	// duplicate execution returns byte-identical results.
-	HedgeAfter time.Duration
-	// HedgePercentile in (0,1) raises the hedge delay to that quantile of
-	// observed submit latencies once enough samples exist, so hedges fire
-	// on genuine stragglers rather than the median. Only consulted when
-	// HedgeAfter > 0.
-	HedgePercentile float64
 }
 
 // workerState is one registered worker plus its health bookkeeping.
@@ -120,8 +108,6 @@ type Coordinator struct {
 	rebuilds    *metrics.Counter
 	journalErrs *metrics.Counter
 	replayed    *metrics.Counter
-	hedges      *metrics.Counter
-	hedgeWins   *metrics.Counter
 	submitLat   *metrics.Histogram
 
 	replaying  atomic.Bool // one replayUnplaced goroutine at a time
@@ -176,10 +162,6 @@ func NewCoordinator(o Options) (*Coordinator, error) {
 		"Journal appends that failed (recovery coverage degraded, requests unaffected).")
 	c.replayed = c.reg.Counter("cluster_journal_replayed_total",
 		"Journal-recovered jobs re-placed onto workers after a restart.")
-	c.hedges = c.reg.Counter("cluster_hedges_total",
-		"Submits re-issued to a second worker after the hedge delay.")
-	c.hedgeWins = c.reg.Counter("cluster_hedge_wins_total",
-		"Hedged submits where the second worker answered first.")
 	c.submitLat = c.reg.Histogram("cluster_submit_latency_us",
 		"Round-trip latency of job submits to workers, microseconds.")
 	c.reg.GaugeFunc("cluster_workers_healthy", "Registered workers currently passing health checks.", func() int64 {
@@ -597,8 +579,13 @@ func (c *Coordinator) place(ctx context.Context, tj *trackedJob) (*http.Response
 			last = err
 			continue
 		}
-		resp, node, err := c.submitHedged(ctx, tj, node, url)
+		resp, err := c.submitTo(ctx, url, tj.body)
 		if err != nil {
+			if ctx.Err() != nil {
+				// The caller gave up, not the worker: charging it a failure
+				// would let impatient clients mark a healthy node dead.
+				return nil, fmt.Errorf("%w: %s: %v", ErrJobLost, tj.id, ctx.Err())
+			}
 			last = err
 			c.noteFailure(node)
 			continue
@@ -634,7 +621,7 @@ func (c *Coordinator) place(ctx context.Context, tj *trackedJob) (*http.Response
 }
 
 // submitTo posts one job body to a worker and records the round-trip
-// latency for the hedge-delay percentile.
+// latency in cluster_submit_latency_us.
 func (c *Coordinator) submitTo(ctx context.Context, url string, body []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		url+"/v1/jobs", bytes.NewReader(body))
@@ -648,163 +635,6 @@ func (c *Coordinator) submitTo(ctx context.Context, url string, body []byte) (*h
 		c.submitLat.Observe(uint64(time.Since(start).Microseconds()))
 	}
 	return resp, err
-}
-
-// hedgeDelay returns how long to wait before re-issuing a submit: the
-// HedgeAfter floor, raised to the observed HedgePercentile submit latency
-// once enough samples exist. 0 disables hedging.
-func (c *Coordinator) hedgeDelay() time.Duration {
-	d := c.opts.HedgeAfter
-	if d <= 0 {
-		return 0
-	}
-	const minSamples = 20
-	if p := c.opts.HedgePercentile; p > 0 && p < 1 && c.submitLat.Count() >= minSamples {
-		if q := time.Duration(c.submitLat.Quantile(p)) * time.Microsecond; q > d {
-			d = q
-		}
-	}
-	return d
-}
-
-// nextBackend returns the healthy worker after node in sorted-name order —
-// the deterministic hedge target.
-func (c *Coordinator) nextBackend(node string) (string, string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var names []string
-	for name, ws := range c.workers {
-		if ws.healthy && name != node {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return "", "", false
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if n > node {
-			return n, c.workers[n].URL, true
-		}
-	}
-	return names[0], c.workers[names[0]].URL, true
-}
-
-// submitResult is one hedged attempt's outcome.
-type submitResult struct {
-	resp *http.Response
-	node string
-	err  error
-}
-
-// cancelOnClose ties an attempt's context to its response body, so the
-// winner's context lives until the caller finishes reading and the losers'
-// are torn down as they are reaped.
-type cancelOnClose struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (b *cancelOnClose) Close() error {
-	err := b.ReadCloser.Close()
-	b.cancel()
-	return err
-}
-
-// launchSubmit runs one submit attempt in its own cancellable context and
-// delivers the outcome on results.
-func (c *Coordinator) launchSubmit(ctx context.Context, node, url string, body []byte, results chan<- submitResult) {
-	actx, cancel := context.WithCancel(ctx)
-	go func() {
-		resp, err := c.submitTo(actx, url, body)
-		if err != nil {
-			cancel()
-			results <- submitResult{node: node, err: err}
-			return
-		}
-		resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
-		results <- submitResult{resp: resp, node: node}
-	}()
-}
-
-// submitHedged posts a job to its owner and, when hedging is enabled and
-// the owner is slow, races a second attempt against the next healthy
-// backend. The first conclusive answer (anything but a transport error,
-// backpressure, or a 5xx) wins; the straggler is reaped in the background.
-// Returns the winning response and the node that produced it.
-func (c *Coordinator) submitHedged(ctx context.Context, tj *trackedJob, node, url string) (*http.Response, string, error) {
-	delay := c.hedgeDelay()
-	if delay <= 0 {
-		resp, err := c.submitTo(ctx, url, tj.body)
-		return resp, node, err
-	}
-	results := make(chan submitResult, 2)
-	c.launchSubmit(ctx, node, url, tj.body, results)
-	outstanding := 1
-	hedgeNode := ""
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	var last submitResult
-	for {
-		select {
-		case <-ctx.Done():
-			// The in-flight submits hold ctx too and will fail promptly;
-			// the results channel is buffered so they never block.
-			return nil, node, ctx.Err()
-		case <-timer.C:
-			hNode, hURL, ok := c.nextBackend(node)
-			if !ok || outstanding != 1 {
-				continue
-			}
-			hedgeNode = hNode
-			c.hedges.Inc()
-			c.launchSubmit(ctx, hNode, hURL, tj.body, results)
-			outstanding++
-			c.log.Info("hedged submit", "job_id", tj.id, "owner", node,
-				"hedge", hNode, "after", delay)
-		case r := <-results:
-			outstanding--
-			conclusive := r.err == nil &&
-				r.resp.StatusCode != http.StatusTooManyRequests &&
-				r.resp.StatusCode < 500
-			if conclusive {
-				if outstanding > 0 {
-					go func() { // reap the straggler when it lands
-						if s := <-results; s.resp != nil {
-							io.Copy(io.Discard, io.LimitReader(s.resp.Body, maxBody))
-							s.resp.Body.Close()
-						}
-					}()
-				}
-				if hedgeNode != "" && r.node == hedgeNode {
-					c.hedgeWins.Inc()
-				}
-				return r.resp, r.node, nil
-			}
-			if r.resp != nil {
-				io.Copy(io.Discard, io.LimitReader(r.resp.Body, 4096))
-				r.resp.Body.Close()
-			}
-			last = r
-			if outstanding == 0 {
-				if last.err != nil {
-					return nil, last.node, last.err
-				}
-				// Both attempts got pushback; surface it as a transport-level
-				// failure and let place's backoff retry.
-				return nil, last.node, fmt.Errorf("%s answered %d (hedged)", last.node, lastStatus(last))
-			}
-		}
-	}
-}
-
-// lastStatus extracts a status code from a failed attempt for the error
-// message (0 when the attempt never produced a response).
-func lastStatus(r submitResult) int {
-	if r.resp != nil {
-		return r.resp.StatusCode
-	}
-	return 0
 }
 
 // rerouteFrom replays every unfinished job owned by a dead worker onto the
@@ -833,7 +663,7 @@ func (c *Coordinator) rerouteFrom(dead string) {
 			c.log.Error("reroute failed", "job_id", tj.id, "err", err)
 			continue
 		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBody))
 		resp.Body.Close()
 		c.reroutes.Inc()
 		c.log.Info("job rerouted", "job_id", tj.id, "from", dead, "to", tj.node)

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -292,6 +293,102 @@ func TestWorkerDeathReroutes(t *testing.T) {
 	}
 	if v, ok := metrics.ParseValue(string(exposition), "cluster_maglev_rebuilds_total"); !ok || v < 4 {
 		t.Errorf("cluster_maglev_rebuilds_total = %v (ok=%v), want >= 4 (3 registrations + death)", v, ok)
+	}
+}
+
+// TestClientCancelSparesWorker: a client that gives up on a slow proxied
+// request (submit, poll or stats scrape) must not count against the worker.
+// Each case stalls one route on the only worker and sends FailThreshold
+// requests through it with a 50ms client timeout; the worker must stay
+// healthy with no proxy errors (and hence no replay of its jobs).
+func TestClientCancelSparesWorker(t *testing.T) {
+	cases := []struct {
+		name  string
+		stall string // worker route that answers only after 2s
+		path  func(id string) string
+	}{
+		{"submit", "POST /v1/jobs", func(string) string { return "/v1/jobs" }},
+		{"poll", "GET /v1/jobs/", func(id string) string { return "/v1/jobs/" + id }},
+		{"result", "GET /v1/jobs/", func(id string) string { return "/v1/jobs/" + id + "/result" }},
+		{"stats", "GET /v1/stats", func(string) string { return "/v1/stats" }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			// No health probes during the test: a probe's success would
+			// reset the failure count the buggy path accumulates.
+			c, err := NewCoordinator(Options{
+				HealthInterval: time.Hour,
+				FailThreshold:  2,
+				ProxyTimeout:   5 * time.Second,
+				Metrics:        reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			handled := make(chan struct{}, 8)
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				c.Handler().ServeHTTP(w, r)
+				handled <- struct{}{}
+			}))
+			t.Cleanup(ts.Close)
+
+			fw := newFakeWorker(t, "w1")
+			var stalling atomic.Bool
+			slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if stalling.Load() && strings.HasPrefix(r.Method+" "+r.URL.Path, tc.stall) {
+					// Drain the body first: the server only notices a
+					// client hang-up once the request body is consumed.
+					body, _ := io.ReadAll(r.Body)
+					r.Body = io.NopCloser(bytes.NewReader(body))
+					select {
+					case <-r.Context().Done():
+						return // the coordinator gave up on this request
+					case <-time.After(2 * time.Second):
+					}
+				}
+				fw.ts.Config.Handler.ServeHTTP(w, r)
+			}))
+			t.Cleanup(slow.Close)
+			if err := c.Register(Worker{Name: "w1", URL: slow.URL}); err != nil {
+				t.Fatal(err)
+			}
+			id, code := submitJob(t, ts.URL, 0)
+			if code != http.StatusAccepted {
+				t.Fatalf("setup submit: status %d", code)
+			}
+			<-handled
+			stalling.Store(true)
+
+			impatient := &http.Client{Timeout: 50 * time.Millisecond}
+			for i := 0; i < 2; i++ {
+				var err error
+				if tc.stall == "POST /v1/jobs" {
+					body := fmt.Sprintf(`{"workload":"square","scale":%g,"protocol":"cpelide"}`, 0.06+float64(i)*1e-4)
+					_, err = impatient.Post(ts.URL+tc.path(id), "application/json", strings.NewReader(body))
+				} else {
+					_, err = impatient.Get(ts.URL + tc.path(id))
+				}
+				if err == nil {
+					t.Fatal("request returned before the client timeout")
+				}
+				<-handled // the coordinator has finished reacting
+			}
+
+			for _, ws := range c.Workers() {
+				if !ws.Healthy {
+					t.Errorf("worker %s marked dead by client timeouts", ws.Name)
+				}
+			}
+			expo := scrape(t, ts.URL)
+			if v, ok := metrics.ParseValue(expo, "cluster_proxy_errors_total"); !ok || v != 0 {
+				t.Errorf("cluster_proxy_errors_total = %v (ok=%v), want 0", v, ok)
+			}
+			if n := fw.count(); n != 1 {
+				t.Errorf("worker holds %d jobs, want 1 (nothing replayed or placed)", n)
+			}
+		})
 	}
 }
 

@@ -26,11 +26,17 @@ type e2eWorker struct {
 
 func newE2EWorker(t *testing.T, name, storeDir string) *e2eWorker {
 	t.Helper()
+	return newE2EWorkerN(t, name, storeDir, 2)
+}
+
+// newE2EWorkerN is newE2EWorker with farmWorkers concurrent simulations.
+func newE2EWorkerN(t *testing.T, name, storeDir string, farmWorkers int) *e2eWorker {
+	t.Helper()
 	st, err := diskstore.Open(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := farm.New(farm.Options{Workers: 2, Store: st})
+	eng := farm.New(farm.Options{Workers: farmWorkers, Store: st})
 	t.Cleanup(eng.Close)
 	s := server.New(eng, 64)
 	ts := httptest.NewServer(s.Handler())

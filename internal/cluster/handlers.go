@@ -136,6 +136,9 @@ func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
+		if r.Context().Err() != nil {
+			return // the client left; the worker is not at fault
+		}
 		c.noteFailure(node)
 		c.replayTracked(w, r, tj)
 		return
@@ -307,6 +310,9 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
+			if r.Context().Err() != nil {
+				return // the client left mid-scrape
+			}
 			c.noteFailure(name)
 			continue
 		}

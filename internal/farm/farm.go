@@ -16,9 +16,9 @@
 // context-aware (a canceled submitter stops waiting, and a canceled
 // leader's simulation halts at the next kernel boundary via
 // cpelide.RunStreamsContext), and worker panics are isolated into errors.
-// Hit/miss/run counters are kept internally, optionally mirrored into a
-// stats.Sheet, and each job's queued -> running -> done lifetime can be
-// emitted into a trace.Recorder for Perfetto.
+// Hit/miss/run counters are kept internally (Counters, and the Prometheus
+// series when Options.Metrics is set), and each job's queued -> running ->
+// done lifetime can be emitted into a trace.Recorder for Perfetto.
 package farm
 
 import (
@@ -33,7 +33,6 @@ import (
 	"repro"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -64,9 +63,6 @@ type Options struct {
 	// CacheEntries bounds the result cache: 0 uses DefaultCacheEntries,
 	// negative disables caching (single-flight dedup still applies).
 	CacheEntries int
-	// Stats, when non-nil, receives the farm counters (stats.Farm*) as
-	// absolute levels after every state change.
-	Stats *stats.Sheet
 	// Trace, when non-nil, records one span per job (queued -> running ->
 	// done/cached/error) in wall-clock microseconds since the farm started.
 	Trace *trace.Recorder
@@ -139,7 +135,6 @@ type Farm struct {
 	c        Counters
 	closed   bool
 
-	sheet *stats.Sheet
 	rec   *trace.Recorder
 	m     *farmMetrics
 	store Store
@@ -186,7 +181,6 @@ func New(o Options) *Farm {
 		quit:     make(chan struct{}),
 		cache:    newLRU(entries),
 		inflight: make(map[string]*flight),
-		sheet:    o.Stats,
 		rec:      o.Trace,
 		store:    o.Store,
 		epoch:    time.Now(),
@@ -250,7 +244,6 @@ func (f *Farm) Submit(ctx context.Context, job Job) (*cpelide.Report, error) {
 	if rep, ok := f.cache.get(key); ok {
 		f.c.CacheHits++
 		f.m.hits.Inc()
-		f.mirrorLocked()
 		now := f.sinceUS()
 		f.mu.Unlock()
 		f.traceJob(-1, job.Name()+" [cached]", now, now, now)
@@ -259,7 +252,6 @@ func (f *Farm) Submit(ctx context.Context, job Job) (*cpelide.Report, error) {
 	if fl, ok := f.inflight[key]; ok {
 		f.c.DedupWaits++
 		f.m.dedup.Inc()
-		f.mirrorLocked()
 		f.mu.Unlock()
 		select {
 		case <-fl.done:
@@ -276,7 +268,6 @@ func (f *Farm) Submit(ctx context.Context, job Job) (*cpelide.Report, error) {
 	f.m.misses.Inc()
 	fl := &flight{key: key, job: job, queuedUS: f.sinceUS(), done: make(chan struct{})}
 	f.inflight[key] = fl
-	f.mirrorLocked()
 	f.mu.Unlock()
 
 	t := &task{ctx: ctx, fl: fl}
@@ -374,7 +365,6 @@ func (f *Farm) storeGet(key string) (*cpelide.Report, bool) {
 		f.mu.Lock()
 		f.c.StoreErrors++
 		f.m.storeErrs.Inc()
-		f.mirrorLocked()
 		f.mu.Unlock()
 		return nil, false
 	}
@@ -396,7 +386,6 @@ func (f *Farm) storePut(key string, rep *cpelide.Report) {
 		f.c.StorePuts++
 		f.m.storePuts.Inc()
 	}
-	f.mirrorLocked()
 	f.mu.Unlock()
 }
 
@@ -417,7 +406,6 @@ func (f *Farm) executeWithRetry(ctx context.Context, j Job) (*cpelide.Report, er
 		f.mu.Lock()
 		f.c.Retries++
 		f.m.retries.Inc()
-		f.mirrorLocked()
 		f.mu.Unlock()
 		rep, err = f.attempt(ctx, j)
 	}
@@ -439,7 +427,6 @@ func (f *Farm) attempt(parent context.Context, j Job) (*cpelide.Report, error) {
 		f.mu.Lock()
 		f.c.Timeouts++
 		f.m.timeouts.Inc()
-		f.mirrorLocked()
 		f.mu.Unlock()
 		return nil, fmt.Errorf("farm: job %s after %v: %w", j.Name(), f.jobTimeout, ErrJobTimeout)
 	}
@@ -554,29 +541,7 @@ func (f *Farm) finish(fl *flight, rep *cpelide.Report, err error, src resolveSrc
 	if f.inflight[fl.key] == fl {
 		delete(f.inflight, fl.key)
 	}
-	f.mirrorLocked()
 	close(fl.done)
-}
-
-// mirrorLocked copies the counters into the optional stats sheet as
-// absolute levels (the Farm* counters carry max semantics). Caller holds mu.
-func (f *Farm) mirrorLocked() {
-	if f.sheet == nil {
-		return
-	}
-	f.sheet.Set(stats.FarmJobs, f.c.Jobs)
-	f.sheet.Set(stats.FarmCacheHits, f.c.CacheHits)
-	f.sheet.Set(stats.FarmCacheMisses, f.c.CacheMisses)
-	f.sheet.Set(stats.FarmDedupWaits, f.c.DedupWaits)
-	f.sheet.Set(stats.FarmRuns, f.c.Runs)
-	f.sheet.Set(stats.FarmErrors, f.c.Errors)
-	f.sheet.Set(stats.FarmPanics, f.c.Panics)
-	f.sheet.Set(stats.FarmEvictions, f.c.Evictions)
-	f.sheet.Set(stats.FarmRetries, f.c.Retries)
-	f.sheet.Set(stats.FarmTimeouts, f.c.Timeouts)
-	f.sheet.Set(stats.FarmStoreHits, f.c.StoreHits)
-	f.sheet.Set(stats.FarmStorePuts, f.c.StorePuts)
-	f.sheet.Set(stats.FarmStoreErrors, f.c.StoreErrors)
 }
 
 // sinceUS returns wall-clock microseconds since the farm started.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -250,34 +249,6 @@ func TestSubmitAfterClose(t *testing.T) {
 	f.Close() // idempotent
 	if _, err := f.Submit(context.Background(), baseJob()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: got %v, want ErrClosed", err)
-	}
-}
-
-// TestStatsMirror checks the farm levels land in the shared stats sheet.
-func TestStatsMirror(t *testing.T) {
-	execHook = func(ctx context.Context, j Job) (*cpelide.Report, error) {
-		return &cpelide.Report{}, nil
-	}
-	defer func() { execHook = nil }()
-
-	sheet := stats.New()
-	f := New(Options{Workers: 1, Stats: sheet})
-	defer f.Close()
-
-	job := baseJob()
-	for i := 0; i < 3; i++ {
-		if _, err := f.Submit(context.Background(), job); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := sheet.Get(stats.FarmJobs); got != 3 {
-		t.Fatalf("sheet farm.jobs=%d, want 3", got)
-	}
-	if got := sheet.Get(stats.FarmRuns); got != 1 {
-		t.Fatalf("sheet farm.runs=%d, want 1", got)
-	}
-	if got := sheet.Get(stats.FarmCacheHits); got != 2 {
-		t.Fatalf("sheet farm.cache_hits=%d, want 2", got)
 	}
 }
 

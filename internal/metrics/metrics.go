@@ -128,16 +128,6 @@ func (h *Histogram) Sum() uint64 {
 	return h.h.Sum()
 }
 
-// Quantile returns an upper bound on the q-quantile (see stats.Histogram).
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.Quantile(q)
-}
-
 // metricKind tags a registry entry.
 type metricKind uint8
 

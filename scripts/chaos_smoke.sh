@@ -12,8 +12,8 @@
 #      Gates: store_corrupt_total == quarantined file count, exactly the
 #      corrupted job re-simulates, and the campaign still completes clean.
 #
-# Writes BENCH_chaos.json (schema chaos/v1): coordinator recovery time, the
-# hedge counters, and both campaign results.
+# Writes BENCH_chaos.json (schema chaos/v2): coordinator recovery time and
+# both campaign results.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -43,7 +43,7 @@ COORD=http://127.0.0.1:8470
 start_coordinator() { # retries the bind: right after SIGKILL the port can lag
   for _ in 1 2 3 4 5; do
     "$BIN/cpelide-coordinator" -addr 127.0.0.1:8470 -health-interval 100ms \
-      -fail-threshold 2 -journal "$JOURNAL" -hedge-after 250ms &
+      -fail-threshold 2 -journal "$JOURNAL" &
     CPID=$!
     PIDS+=($CPID)
     for _ in $(seq 1 50); do
@@ -94,8 +94,6 @@ wait "$LG" # gate: loadgen exits nonzero on any lost or failed job
 METRICS=$(curl -fsS "$COORD/metrics")
 RECOVERED=$(awk '$1 == "cluster_journal_recovered_jobs" { print $2 }' <<<"$METRICS")
 JERRS=$(awk '$1 == "cluster_journal_errors_total" { print $2 }' <<<"$METRICS")
-HEDGES=$(awk '$1 == "cluster_hedges_total" { print $2 }' <<<"$METRICS")
-HEDGE_WINS=$(awk '$1 == "cluster_hedge_wins_total" { print $2 }' <<<"$METRICS")
 [ "${RECOVERED:-0}" -gt 0 ] || { echo "restarted coordinator recovered 0 jobs from the journal" >&2; exit 1; }
 [ "${JERRS:-0}" = 0 ] || { echo "cluster_journal_errors_total = $JERRS, want 0" >&2; exit 1; }
 grep '^cluster_journal' <<<"$METRICS"
@@ -104,7 +102,8 @@ cleanup
 PIDS=()
 
 # --- phase 2: corrupt one stored result, replay over the damaged store ------
-VICTIM=$(find "$STORE" -mindepth 2 -name '*.json' -not -path '*/quarantine/*' | sort | head -1)
+# sed, not head: head exits early and pipefail turns sort's SIGPIPE into exit 141
+VICTIM=$(find "$STORE" -mindepth 2 -name '*.json' -not -path '*/quarantine/*' | sort | sed -n 1p)
 [ -n "$VICTIM" ] || { echo "no stored results to corrupt" >&2; exit 1; }
 echo "this is not a report" > "$VICTIM"
 echo "corrupted $VICTIM"
@@ -130,18 +129,13 @@ jq -n --slurpfile crash "$SCRATCH/crash.json" \
       --slurpfile corrupt "$SCRATCH/corrupt.json" \
       --argjson recovery_ms "$RECOVERY_MS" \
       --argjson kill_at_jobs "$JOBS" \
-      --argjson hedges "${HEDGES:-0}" \
-      --argjson hedge_wins "${HEDGE_WINS:-0}" \
-      '{schema: "chaos/v1",
+      '{schema: "chaos/v2",
         recovery_ms: $recovery_ms,
         kill_at_jobs: $kill_at_jobs,
-        hedges: $hedges,
-        hedge_wins: $hedge_wins,
-        hedge_win_rate: (if $hedges > 0 then $hedge_wins / $hedges else 0 end),
         crash_campaign: $crash[0],
         corruption_campaign: $corrupt[0]}' > "$OUT"
 echo "wrote $OUT"
-jq '{recovery_ms, kill_at_jobs, hedge_win_rate,
+jq '{recovery_ms, kill_at_jobs,
      crash_lost: .crash_campaign.lost,
      crash_retries: .crash_campaign.transient_retries,
      corruption_runs: .corruption_campaign.runs}' "$OUT"
