@@ -19,6 +19,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cluster/journal"
 	"repro/internal/metrics"
+	"repro/internal/server"
 )
 
 func main() {
@@ -67,7 +68,7 @@ func main() {
 		logger.Error("start coordinator", "err", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: coord.Handler()}
+	httpSrv := server.NewHTTPServer(*addr, coord.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -3,10 +3,12 @@
 // when pointed at a cpelide-coordinator. In worker mode it registers itself
 // on startup, serves health checks at /healthz, and deregisters on shutdown.
 //
-// With -store, results are persisted to a content-addressed on-disk store
-// under the in-memory LRU; on startup the cache is warmed from the most
-// recently written entries, so a restarted worker (or a fresh one pointed at
-// a shared directory) serves prior results without re-simulating.
+// The farm is the worker's only job table: -cache bounds how many finished
+// reports it remembers, and an ID it has forgotten answers 404. With -store,
+// results are also persisted to a content-addressed on-disk store under the
+// in-memory LRU; every lookup falls through to it, so a restarted worker (or
+// a fresh one pointed at a shared directory) serves prior results from disk
+// without re-simulating.
 package main
 
 import (
@@ -35,10 +37,9 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		debugAddr = flag.String("debug-addr", "", "optional debug listen address serving net/http/pprof (e.g. localhost:6060); empty disables")
 		workers   = flag.Int("workers", 0, "farm worker goroutines (0 = all CPUs)")
-		queueCap  = flag.Int("queue", 64, "pending-job queue capacity (full queue => 429)")
-		cacheCap  = flag.Int("cache", farm.DefaultCacheEntries, "result cache entries (negative disables caching)")
-		jobTO     = flag.Duration("job-timeout", 0, "per-attempt deadline for one simulation (0 = none)")
-		retries   = flag.Int("retries", 0, "extra attempts for transiently failed jobs (timeouts, panics)")
+		queueCap  = flag.Int("queue", 64, "jobs waiting for a farm worker before submissions are shed with 429")
+		cacheCap  = flag.Int("cache", farm.DefaultCacheEntries, "finished reports held in memory (<= 0 uses the default)")
+		jobTO     = flag.Duration("job-timeout", 0, "deadline for one simulation (0 = none)")
 		logJSON   = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 
 		storeDir    = flag.String("store", "", "persistent result-store directory (empty disables; share it between workers for a cluster-wide store)")
@@ -60,14 +61,12 @@ func main() {
 		Workers:      *workers,
 		CacheEntries: *cacheCap,
 		JobTimeout:   *jobTO,
-		Retries:      *retries,
 		Metrics:      reg,
 	}
 
-	var store *diskstore.Store
 	if *storeDir != "" {
-		var err error
-		if store, err = diskstore.Open(*storeDir); err != nil {
+		store, err := diskstore.Open(*storeDir)
+		if err != nil {
 			logger.Error("open result store", "dir", *storeDir, "err", err)
 			os.Exit(1)
 		}
@@ -81,24 +80,9 @@ func main() {
 	}
 
 	eng := farm.New(opts)
-	if store != nil && *cacheCap >= 0 {
-		// Warm the LRU from the store's freshest entries so a restart (or a
-		// new worker on a shared store) starts hot instead of cold.
-		capacity := *cacheCap
-		if capacity == 0 {
-			capacity = farm.DefaultCacheEntries
-		}
-		keys, err := store.RecentKeys(capacity)
-		if err != nil {
-			logger.Warn("scan result store for warm-start", "err", err)
-		} else if n := eng.Warm(keys); n > 0 {
-			logger.Info("cache warmed from store", "dir", *storeDir, "entries", n)
-		}
-	}
-
 	s := server.New(eng, *queueCap)
 	s.Instrument(reg, logger)
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpSrv := server.NewHTTPServer(*addr, s.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -150,7 +134,7 @@ func main() {
 		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		debugSrv = &http.Server{Addr: *debugAddr, Handler: dmux}
+		debugSrv = server.NewHTTPServer(*debugAddr, dmux)
 		go func() {
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("debug listener failed", "addr", *debugAddr, "err", err)
@@ -166,7 +150,7 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Graceful drain: stop accepting connections, let queued jobs finish,
+	// Graceful drain: stop accepting connections, let accepted jobs finish,
 	// then stop the farm workers.
 	logger.Info("signal received, draining")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -260,9 +260,9 @@ func TestChaosStoreCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := st.RecentKeys(0)
-	if err != nil || len(keys) != 20 {
-		t.Fatalf("stored %d keys, err=%v, want 20", len(keys), err)
+	keys := storedKeys(t, storeDir)
+	if len(keys) != 20 {
+		t.Fatalf("stored %d keys, want 20", len(keys))
 	}
 	victim := keys[3]
 	clean := fetchResult(t, w1.ts.URL, victim)
@@ -434,13 +434,9 @@ func TestChaosConduitCampaign(t *testing.T) {
 	if err != nil || cleanRes.Completed != 150 {
 		t.Fatalf("clean campaign: res=%+v err=%v", cleanRes, err)
 	}
-	st, err := diskstore.Open(storeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, err := st.RecentKeys(0)
-	if err != nil || len(keys) != 75 {
-		t.Fatalf("chaos store has %d keys, err=%v, want 75", len(keys), err)
+	keys := storedKeys(t, storeDir)
+	if len(keys) != 75 {
+		t.Fatalf("chaos store has %d keys, want 75", len(keys))
 	}
 	mismatches := 0
 	for _, key := range keys[:10] { // spot-check a sample for byte identity
@@ -516,4 +512,18 @@ func TestChaosSlowWorker(t *testing.T) {
 		t.Errorf("cluster_reroutes_total = %v (ok=%v), want 0", v, ok)
 	}
 	t.Logf("slow-worker campaign: p50 %.1fms, p99 %.1fms, %d runs", res.P50MS, res.P99MS, res.Runs)
+}
+
+// storedKeys lists the keys of a diskstore directory's entries, sorted.
+func storedKeys(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "??", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(files))
+	for i, f := range files {
+		keys[i] = strings.TrimSuffix(filepath.Base(f), ".json")
+	}
+	return keys
 }

@@ -78,14 +78,15 @@ type workerState struct {
 	fails   int // consecutive failed probes
 }
 
-// trackedJob is one submission the coordinator has placed. The original
-// body is kept so the job can be replayed verbatim on another worker if its
-// owner dies before the result is fetched.
+// trackedJob is one unfinished submission the coordinator has placed. The
+// original body is kept so the job can be replayed verbatim on another
+// worker if its owner dies before the result is fetched; once a terminal
+// state is observed the job is forgotten, body and all.
 type trackedJob struct {
 	id   string
 	body []byte
 	node string
-	done bool
+	done bool // forgotten; a placement still in progress must not re-track it
 }
 
 // Coordinator routes jobs to workers and keeps them placed across failures.
@@ -180,21 +181,10 @@ func NewCoordinator(o Options) (*Coordinator, error) {
 		defer c.mu.Unlock()
 		return int64(len(c.workers))
 	})
-	c.reg.GaugeFunc("cluster_jobs_tracked", "Jobs the coordinator has placed and still remembers.", func() int64 {
+	c.reg.GaugeFunc("cluster_jobs_tracked", "Placed jobs not yet observed finished.", func() int64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return int64(len(c.jobs))
-	})
-	c.reg.GaugeFunc("cluster_jobs_inflight", "Tracked jobs not yet observed done.", func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		n := int64(0)
-		for _, j := range c.jobs {
-			if !j.done {
-				n++
-			}
-		}
-		return n
 	})
 	if c.jnl != nil {
 		c.reg.GaugeFunc("cluster_journal_size_bytes", "Current size of the write-ahead journal.", func() int64 {
@@ -265,7 +255,7 @@ func (c *Coordinator) replayUnplaced() {
 		c.mu.Lock()
 		var moving []*trackedJob
 		for _, tj := range c.jobs {
-			if tj.node == "" && !tj.done {
+			if tj.node == "" {
 				moving = append(moving, tj)
 			}
 		}
@@ -594,7 +584,9 @@ func (c *Coordinator) place(ctx context.Context, tj *trackedJob) (*http.Response
 		case resp.StatusCode < 300:
 			c.mu.Lock()
 			tj.node = node
-			c.jobs[tj.id] = tj
+			if !tj.done {
+				c.jobs[tj.id] = tj
+			}
 			c.routedCounter(node).Inc()
 			c.mu.Unlock()
 			c.noteSuccess(node)
@@ -644,7 +636,7 @@ func (c *Coordinator) rerouteFrom(dead string) {
 	c.mu.Lock()
 	var moving []*trackedJob
 	for _, tj := range c.jobs {
-		if tj.node == dead && !tj.done {
+		if tj.node == dead {
 			moving = append(moving, tj)
 		}
 	}

@@ -3,7 +3,8 @@
 // job hash, sharded across 256 subdirectories by the key's first byte.
 //
 // The store sits underneath the farm's in-memory LRU (farm.Options.Store):
-// a worker that restarts warm-starts its cache from disk, and workers that
+// a lookup that misses the LRU falls through to disk, so a worker that
+// restarts answers prior results from the store, and workers that
 // share one store directory — a shared filesystem in a real deployment, a
 // common tmpdir in the local cluster — share every computed result, so a
 // job rerouted after a node failure is a store hit, not a recompute.
@@ -40,7 +41,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -98,9 +98,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return &Store{root: dir}, nil
 }
-
-// Root returns the store's directory.
-func (s *Store) Root() string { return s.root }
 
 // CorruptCount reports how many entries this store handle has quarantined.
 func (s *Store) CorruptCount() uint64 { return s.corrupt.Load() }
@@ -276,19 +273,13 @@ func (s *Store) QuarantineCount() (int, error) {
 	return len(files), nil
 }
 
-// entry pairs a key with its file modification time for recency ordering.
-type entry struct {
-	key     string
-	modUnix int64
-}
-
-// keys walks the shard directories and returns every valid entry.
-func (s *Store) keys() ([]entry, error) {
+// keys walks the shard directories and returns every valid entry's key.
+func (s *Store) keys() ([]string, error) {
 	shards, err := os.ReadDir(s.root)
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: scan %s: %w", s.root, err)
 	}
-	var out []entry
+	var out []string
 	for _, sh := range shards {
 		if !sh.IsDir() || len(sh.Name()) != 2 {
 			continue
@@ -298,40 +289,10 @@ func (s *Store) keys() ([]entry, error) {
 			continue // shard vanished mid-scan (concurrent cleanup)
 		}
 		for _, f := range files {
-			key, found := strings.CutSuffix(f.Name(), ".json")
-			if !found || checkKey(key) != nil {
-				continue
+			if key, found := strings.CutSuffix(f.Name(), ".json"); found && checkKey(key) == nil {
+				out = append(out, key)
 			}
-			info, err := f.Info()
-			if err != nil {
-				continue
-			}
-			out = append(out, entry{key: key, modUnix: info.ModTime().UnixNano()})
 		}
 	}
 	return out, nil
-}
-
-// RecentKeys returns up to limit stored keys, most recently written first
-// (ties broken by key so the order is stable). limit <= 0 returns all. The
-// farm's warm-start uses this to reload the hottest results into its LRU.
-func (s *Store) RecentKeys(limit int) ([]string, error) {
-	entries, err := s.keys()
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].modUnix != entries[j].modUnix {
-			return entries[i].modUnix > entries[j].modUnix
-		}
-		return entries[i].key < entries[j].key
-	})
-	if limit > 0 && len(entries) > limit {
-		entries = entries[:limit]
-	}
-	keys := make([]string, len(entries))
-	for i, e := range entries {
-		keys[i] = e.key
-	}
-	return keys, nil
 }

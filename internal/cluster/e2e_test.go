@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -199,4 +201,84 @@ func TestClusterE2E(t *testing.T) {
 	}
 	t.Logf("campaign 2 (restart): %.1f jobs/s, p99 %.1fms, store hits %d",
 		res2.ThroughputJPS, res2.P99MS, res2.StoreHits)
+}
+
+// TestCoordinatorForgetsFinishedJobs checks the coordinator holds a job's
+// body only until the job is seen finished: after a campaign nothing is
+// tracked, and a finished ID is still answered through the coordinator by
+// its content-hash owner.
+func TestCoordinatorForgetsFinishedJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster e2e is not a -short test")
+	}
+	reg := metrics.NewRegistry()
+	coord, err := NewCoordinator(Options{HealthInterval: 20 * time.Millisecond, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coordTS := httptest.NewServer(coord.Handler())
+	defer coordTS.Close()
+	for _, name := range []string{"w1", "w2"} {
+		w := newE2EWorker(t, name, t.TempDir())
+		if err := coord.Register(Worker{Name: name, URL: w.ts.URL}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tracked := func() float64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		v, ok := metrics.ParseValue(buf.String(), "cluster_jobs_tracked")
+		if !ok {
+			t.Fatal("no cluster_jobs_tracked series")
+		}
+		return v
+	}
+
+	campaign := Campaign{
+		BaseURL: coordTS.URL, Jobs: 40, Distinct: 20, Concurrency: 8, Scale: 0.05, Seed: 3,
+		PollInterval: 5 * time.Millisecond, JobTimeout: 60 * time.Second,
+	}
+	res, err := campaign.Run(context.Background())
+	if err != nil || res.Completed != 40 {
+		t.Fatalf("campaign: res=%+v err=%v", res, err)
+	}
+	if n := tracked(); n != 0 {
+		t.Fatalf("cluster_jobs_tracked = %v after the campaign, want 0", n)
+	}
+
+	resp, err := http.Post(coordTS.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"workload": "square", "scale": 0.07}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr server.StatusResponse
+	json.NewDecoder(resp.Body).Decode(&sr)
+	resp.Body.Close()
+	for deadline := time.Now().Add(30 * time.Second); sr.Status != "done"; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) || sr.Status == "error" {
+			t.Fatalf("job did not finish: %+v", sr)
+		}
+		resp, err := http.Get(coordTS.URL + "/v1/jobs/" + sr.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		json.NewDecoder(resp.Body).Decode(&sr)
+		resp.Body.Close()
+	}
+	if n := tracked(); n != 0 {
+		t.Fatalf("cluster_jobs_tracked = %v after the job was seen done, want 0", n)
+	}
+	resp, err = http.Get(coordTS.URL + "/v1/jobs/" + sr.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(rep, []byte(`"Cycles"`)) {
+		t.Fatalf("result of a forgotten job: %d %.80s, want 200 with its report", resp.StatusCode, rep)
+	}
 }

@@ -2,13 +2,10 @@ package cluster
 
 import (
 	"bytes"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"repro/internal/farm"
@@ -39,20 +36,13 @@ func (c *Coordinator) Handler() http.Handler {
 	return c.middleware(mux)
 }
 
-var requestSeq atomic.Uint64
-
 // middleware stamps X-Request-ID (honoring a client-sent one) and logs the
 // request, mirroring the worker middleware so IDs correlate across hops.
 func (c *Coordinator) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
-			var b [8]byte
-			if _, err := rand.Read(b[:]); err != nil {
-				id = fmt.Sprintf("coord-%d", requestSeq.Add(1))
-			} else {
-				id = hex.EncodeToString(b[:])
-			}
+			id = server.NewRequestID()
 		}
 		w.Header().Set("X-Request-ID", id)
 		start := time.Now()
@@ -102,28 +92,34 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusServiceUnavailable, server.ErrCodeInternal, "%v", err)
 		return
 	}
-	copyResponse(w, resp)
+	c.relay(w, tj, r.URL.Path, resp)
 }
 
 // handleJobGet proxies status and result polls to the job's owner. A worker
 // that forgot a tracked job (it restarted) gets the job replayed and the
-// client a 202 to poll again — the job is delayed, never lost.
+// client a 202 to poll again — the job is delayed, never lost. A finished
+// job is no longer tracked; its content-hash ID still routes to its Maglev
+// owner, which answers from its cache or store, or 404 if it has forgotten
+// the job too (the client then resubmits).
 func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	c.mu.Lock()
-	tj, tracked := c.jobs[id]
+	tj := c.jobs[id]
 	var node, url string
-	if tracked {
+	if tj != nil {
 		if ws := c.workers[tj.node]; ws != nil {
 			node, url = tj.node, ws.URL
 		}
 	}
 	c.mu.Unlock()
-	if !tracked {
-		server.WriteError(w, http.StatusNotFound, server.ErrCodeNotFound, "unknown job %q", id)
-		return
-	}
-	if url == "" {
+	switch {
+	case tj == nil:
+		var err error
+		if node, url, err = c.ownerOf(id); err != nil {
+			server.WriteError(w, http.StatusServiceUnavailable, server.ErrCodeInternal, "%v", err)
+			return
+		}
+	case url == "":
 		// Owner is gone entirely (deregistered): replace it now.
 		c.replayTracked(w, r, tj)
 		return
@@ -140,25 +136,21 @@ func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
 			return // the client left; the worker is not at fault
 		}
 		c.noteFailure(node)
+		if tj == nil {
+			server.WriteError(w, http.StatusServiceUnavailable, server.ErrCodeInternal,
+				"worker %s unreachable; retry", node)
+			return
+		}
 		c.replayTracked(w, r, tj)
 		return
 	}
-	if resp.StatusCode == http.StatusNotFound {
+	if resp.StatusCode == http.StatusNotFound && tj != nil {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
 		c.replayTracked(w, r, tj)
 		return
 	}
-	if !c.observeJobResponse(tj, r.URL.Path, resp) {
-		// The worker's body could not be read in full (connection died
-		// mid-response): answering 200 with partial bytes would hand the
-		// client a wrong answer, so fail the poll and let it retry.
-		c.proxyErrors.Inc()
-		server.WriteError(w, http.StatusBadGateway, server.ErrCodeInternal,
-			"worker response truncated; retry")
-		return
-	}
-	copyResponse(w, resp)
+	c.relay(w, tj, r.URL.Path, resp)
 }
 
 // replayTracked re-places a tracked job whose owner no longer remembers it
@@ -176,40 +168,40 @@ func (c *Coordinator) replayTracked(w http.ResponseWriter, r *http.Request, tj *
 	server.WriteJSON(w, http.StatusAccepted, server.StatusResponse{ID: tj.id, Status: "queued"})
 }
 
-// observeJobResponse peeks at a successful poll to learn a job finished, so
-// worker deaths stop triggering replays of already-delivered results. The
-// body is re-buffered because peeking consumes it. Returns false when the
-// body could not be read in full — the response must not be relayed.
-func (c *Coordinator) observeJobResponse(tj *trackedJob, path string, resp *http.Response) bool {
-	if resp.StatusCode != http.StatusOK {
-		return true
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
-	resp.Body.Close()
-	if err != nil {
-		resp.Body = io.NopCloser(bytes.NewReader(nil))
-		return false
-	}
-	resp.Body = io.NopCloser(bytes.NewReader(body))
-	done := false
-	if len(path) > len("/result") && path[len(path)-len("/result"):] == "/result" {
-		done = true // a 200 result body is the report itself
-	} else {
+// relay copies a worker's submit or poll response to the client. A 200
+// body is buffered first to learn whether the job finished (a result body,
+// or a status of done or error); if so the coordinator forgets tj (nil for
+// an untracked job), body and all, and worker deaths stop triggering
+// replays of already-delivered results.
+func (c *Coordinator) relay(w http.ResponseWriter, tj *trackedJob, path string, resp *http.Response) {
+	if resp.StatusCode == http.StatusOK {
+		body, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+		resp.Body.Close()
+		if err != nil {
+			// The connection died mid-response: answering 200 with partial
+			// bytes would hand the client a wrong answer, so fail the
+			// request and let it retry.
+			c.proxyErrors.Inc()
+			server.WriteError(w, http.StatusBadGateway, server.ErrCodeInternal,
+				"worker response truncated; retry")
+			return
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(body))
 		var sr server.StatusResponse
-		if json.Unmarshal(body, &sr) == nil {
-			done = sr.Status == "done" || sr.Status == "error"
+		done := strings.HasSuffix(path, "/result") ||
+			json.Unmarshal(body, &sr) == nil && (sr.Status == "done" || sr.Status == "error")
+		if done && tj != nil {
+			c.mu.Lock()
+			already := tj.done
+			tj.done = true
+			delete(c.jobs, tj.id)
+			c.mu.Unlock()
+			if !already {
+				c.journalDone(tj.id)
+			}
 		}
 	}
-	if done {
-		c.mu.Lock()
-		already := tj.done
-		tj.done = true
-		c.mu.Unlock()
-		if !already {
-			c.journalDone(tj.id)
-		}
-	}
-	return true
+	copyResponse(w, resp)
 }
 
 // copyResponse relays a worker response to the client: status, body, and the
@@ -329,7 +321,6 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.QueueLen += sr.QueueLen
 		out.QueueCap += sr.QueueCap
 		out.Workers += sr.Workers
-		out.JobsKnown += sr.JobsKnown
 	}
 	server.WriteJSON(w, http.StatusOK, out)
 }
@@ -345,7 +336,6 @@ func sumCounters(a, b farm.Counters) farm.Counters {
 		Errors:      a.Errors + b.Errors,
 		Panics:      a.Panics + b.Panics,
 		Evictions:   a.Evictions + b.Evictions,
-		Retries:     a.Retries + b.Retries,
 		Timeouts:    a.Timeouts + b.Timeouts,
 		StoreHits:   a.StoreHits + b.StoreHits,
 		StorePuts:   a.StorePuts + b.StorePuts,

@@ -19,13 +19,15 @@
 // Hit/miss/run counters are kept internally (Counters, and the Prometheus
 // series when Options.Metrics is set), and each job's queued -> running ->
 // done lifetime can be emitted into a trace.Recorder for Perfetto.
+//
+// The farm is also the serving tier's only job table: Start begins a job
+// without waiting, and Lookup says what the farm knows of a key.
 package farm
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"time"
@@ -38,45 +40,41 @@ import (
 )
 
 // DefaultCacheEntries bounds the result cache when Options.CacheEntries is
-// zero. Reports are small (a counter sheet plus histograms), so a few
-// thousand fit comfortably in memory.
+// not positive. Reports are small (a counter sheet plus histograms), so a
+// few thousand fit comfortably in memory.
 const DefaultCacheEntries = 4096
 
-// ErrClosed is returned by Submit after Close.
+// recentFailures bounds how many failed keys Lookup reports as Failed.
+const recentFailures = 256
+
+// ErrClosed is returned by Submit and Start after Close.
 var ErrClosed = errors.New("farm: closed")
 
-// ErrJobTimeout marks a job attempt that exceeded Options.JobTimeout while
-// its submitter was still waiting. Wrapped, so test with errors.Is.
-var ErrJobTimeout = errors.New("farm: job attempt timed out")
+// ErrQueueFull is returned by Start when the given number of flights are
+// already waiting for a worker.
+var ErrQueueFull = errors.New("farm: queue full")
+
+// ErrJobTimeout marks a job that exceeded Options.JobTimeout while its
+// submitter was still waiting. Wrapped, so test with errors.Is.
+var ErrJobTimeout = errors.New("farm: job timed out")
 
 // ErrPanic marks a job whose execution panicked. Wrapped, so test with
 // errors.Is.
 var ErrPanic = errors.New("farm: job panicked")
 
-// DefaultRetryDelay is the backoff base when Options.RetryBaseDelay is zero.
-const DefaultRetryDelay = 10 * time.Millisecond
-
 // Options configures a Farm.
 type Options struct {
 	// Workers bounds concurrent simulations; <= 0 uses runtime.NumCPU().
 	Workers int
-	// CacheEntries bounds the result cache: 0 uses DefaultCacheEntries,
-	// negative disables caching (single-flight dedup still applies).
+	// CacheEntries bounds the result cache; <= 0 uses DefaultCacheEntries.
 	CacheEntries int
 	// Trace, when non-nil, records one span per job (queued -> running ->
 	// done/cached/error) in wall-clock microseconds since the farm started.
 	Trace *trace.Recorder
-	// JobTimeout bounds each execution attempt; the simulation halts at the
-	// next kernel boundary once the deadline passes and the attempt fails
-	// with ErrJobTimeout. Zero means no per-attempt deadline.
+	// JobTimeout bounds each job; the simulation halts at the next kernel
+	// boundary once the deadline passes and the job fails with
+	// ErrJobTimeout. Zero means no deadline. Failed jobs are not re-run.
 	JobTimeout time.Duration
-	// Retries is how many extra attempts a transiently failed job gets
-	// (a timed-out attempt or a worker panic, never a canceled submitter).
-	// Zero means fail on the first error.
-	Retries int
-	// RetryBaseDelay is the base of the full-jitter exponential backoff
-	// between attempts; zero uses DefaultRetryDelay.
-	RetryBaseDelay time.Duration
 	// Metrics, when non-nil, receives the farm's production metrics:
 	// lifecycle counters, queue-depth and cache gauges, a per-job latency
 	// histogram, and post-run roll-ups of simulation and fault-injection
@@ -91,7 +89,8 @@ type Options struct {
 
 // Counters is a snapshot of the farm's activity tallies.
 type Counters struct {
-	// Jobs counts Submit calls (including cache hits and dedup waits).
+	// Jobs counts Submit and Start calls, including cache hits and dedup
+	// waits.
 	Jobs uint64 `json:"jobs"`
 	// CacheHits counts submissions served from the result cache.
 	CacheHits uint64 `json:"cache_hits"`
@@ -108,12 +107,10 @@ type Counters struct {
 	Panics uint64 `json:"panics"`
 	// Evictions counts cache entries dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
-	// Retries counts re-executed attempts after transient failures.
-	Retries uint64 `json:"retries"`
-	// Timeouts counts attempts that hit the per-attempt JobTimeout.
+	// Timeouts counts jobs that hit JobTimeout.
 	Timeouts uint64 `json:"timeouts"`
-	// StoreHits counts flights resolved from the persistent store instead
-	// of a fresh simulation (Options.Store only).
+	// StoreHits counts reports loaded from the persistent store into the
+	// cache instead of a fresh simulation (Options.Store only).
 	StoreHits uint64 `json:"store_hits"`
 	// StorePuts counts completed runs written back to the persistent store.
 	StorePuts uint64 `json:"store_puts"`
@@ -130,8 +127,11 @@ type Farm struct {
 	wg      sync.WaitGroup
 
 	mu       sync.Mutex
-	cache    *lruCache
+	idle     *sync.Cond // broadcast whenever inflight empties
+	cache    *lruCache[*cpelide.Report]
+	failed   *lruCache[error] // the most recent failures, by key
 	inflight map[string]*flight
+	waiting  int // flights not yet taken by a worker
 	c        Counters
 	closed   bool
 
@@ -141,8 +141,6 @@ type Farm struct {
 	epoch time.Time
 
 	jobTimeout time.Duration
-	retries    int
-	retryBase  time.Duration
 }
 
 // flight is one in-progress computation; every submitter of the same key
@@ -151,10 +149,29 @@ type flight struct {
 	key      string
 	job      Job
 	queuedUS uint64
+	state    State // Queued until a worker takes it, then Running
 	done     chan struct{}
 	rep      *cpelide.Report
 	err      error
 	resolved bool
+}
+
+// State is where a job key stands, spelled as the serving API reports it.
+type State string
+
+const (
+	Unknown State = ""        // never seen, or forgotten (evicted)
+	Queued  State = "queued"  // in flight, waiting for a worker
+	Running State = "running" // in flight on a worker
+	Done    State = "done"    // in the cache or the store
+	Failed  State = "error"   // among the recent failures
+)
+
+// Status is what the farm knows of one job key.
+type Status struct {
+	State  State
+	Report *cpelide.Report // Done only; shared, treat as read-only
+	Err    error           // Failed only
 }
 
 type task struct {
@@ -172,23 +189,23 @@ func New(o Options) *Farm {
 		w = runtime.NumCPU()
 	}
 	entries := o.CacheEntries
-	if entries == 0 {
+	if entries <= 0 {
 		entries = DefaultCacheEntries
 	}
 	f := &Farm{
 		workers:  w,
 		tasks:    make(chan *task),
 		quit:     make(chan struct{}),
-		cache:    newLRU(entries),
+		cache:    newLRU[*cpelide.Report](entries),
+		failed:   newLRU[error](recentFailures),
 		inflight: make(map[string]*flight),
 		rec:      o.Trace,
 		store:    o.Store,
 		epoch:    time.Now(),
 
 		jobTimeout: o.JobTimeout,
-		retries:    o.Retries,
-		retryBase:  o.RetryBaseDelay,
 	}
+	f.idle = sync.NewCond(&f.mu)
 	f.m = newFarmMetrics(f, o.Metrics)
 	f.wg.Add(w)
 	for i := 0; i < w; i++ {
@@ -228,6 +245,13 @@ func (f *Farm) CacheLen() int {
 	return f.cache.len()
 }
 
+// Waiting returns the number of flights not yet taken by a worker.
+func (f *Farm) Waiting() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.waiting
+}
+
 // Submit executes job (or returns its memoized Report) and blocks until
 // the result is available, an identical in-flight job completes, or ctx is
 // canceled. The returned Report may be shared with other submitters and
@@ -239,19 +263,14 @@ func (f *Farm) Submit(ctx context.Context, job Job) (*cpelide.Report, error) {
 	}
 
 	f.mu.Lock()
-	f.c.Jobs++
-	f.m.jobs.Inc()
-	if rep, ok := f.cache.get(key); ok {
-		f.c.CacheHits++
-		f.m.hits.Inc()
+	fl, rep := f.findLocked(key, true)
+	switch {
+	case rep != nil:
 		now := f.sinceUS()
 		f.mu.Unlock()
 		f.traceJob(-1, job.Name()+" [cached]", now, now, now)
 		return rep, nil
-	}
-	if fl, ok := f.inflight[key]; ok {
-		f.c.DedupWaits++
-		f.m.dedup.Inc()
+	case fl != nil:
 		f.mu.Unlock()
 		select {
 		case <-fl.done:
@@ -259,28 +278,144 @@ func (f *Farm) Submit(ctx context.Context, job Job) (*cpelide.Report, error) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-	}
-	if f.closed {
+	case f.closed:
 		f.mu.Unlock()
 		return nil, ErrClosed
 	}
-	f.c.CacheMisses++
-	f.m.misses.Inc()
-	fl := &flight{key: key, job: job, queuedUS: f.sinceUS(), done: make(chan struct{})}
-	f.inflight[key] = fl
+	fl = f.newFlightLocked(key, job)
 	f.mu.Unlock()
 
-	t := &task{ctx: ctx, fl: fl}
+	f.enqueue(ctx, fl)
+	<-fl.done
+	return fl.rep, fl.err
+}
+
+// Start begins job without waiting for it and returns its key and status:
+// Queued for a new flight, or what Lookup already says of an identical
+// job. A new flight is refused with ErrQueueFull when maxQueued flights
+// are already waiting for a worker. Poll the key with Lookup, or WaitIdle
+// for every flight.
+func (f *Farm) Start(job Job, maxQueued int) (string, Status, error) {
+	key, err := job.Key()
+	if err != nil {
+		return "", Status{}, err
+	}
+	if st := f.lookup(key, true); st.State != Unknown {
+		return key, st, nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch fl, rep := f.findLocked(key, false); { // begun or done since lookup unlocked
+	case fl != nil:
+		return key, Status{State: fl.state}, nil
+	case rep != nil:
+		return key, Status{State: Done, Report: rep}, nil
+	case f.closed:
+		return "", Status{}, ErrClosed
+	case f.waiting >= maxQueued:
+		return "", Status{}, ErrQueueFull
+	}
+	fl := f.newFlightLocked(key, job)
+	go f.enqueue(context.Background(), fl)
+	return key, Status{State: Queued}, nil
+}
+
+// findLocked returns the flight computing key or its cached report, if
+// either exists; for a submission it also counts the job and the dedup or
+// cache hit. Callers hold f.mu.
+func (f *Farm) findLocked(key string, submit bool) (*flight, *cpelide.Report) {
+	if submit {
+		f.c.Jobs++
+		f.m.jobs.Inc()
+	}
+	if fl, ok := f.inflight[key]; ok {
+		if submit {
+			f.c.DedupWaits++
+			f.m.dedup.Inc()
+		}
+		return fl, nil
+	}
+	if rep, ok := f.cache.get(key); ok {
+		if submit {
+			f.c.CacheHits++
+			f.m.hits.Inc()
+		}
+		return nil, rep
+	}
+	return nil, nil
+}
+
+// Lookup reports what the farm knows of key, asking in order its in-flight
+// flight, the cache, the store, and the recent failures. A report found in
+// the store is loaded into the cache. Lookup never starts a job, and a
+// string that is not a Key is Unknown without touching the store.
+func (f *Farm) Lookup(key string) Status {
+	if !isKey(key) {
+		return Status{}
+	}
+	return f.lookup(key, false)
+}
+
+// lookup implements Lookup; for a submission (Start) it also counts the
+// job and the dedup or cache hit it found.
+func (f *Farm) lookup(key string, submit bool) Status {
+	f.mu.Lock()
+	switch fl, rep := f.findLocked(key, submit); {
+	case fl != nil:
+		defer f.mu.Unlock()
+		return Status{State: fl.state}
+	case rep != nil:
+		f.mu.Unlock()
+		return Status{State: Done, Report: rep}
+	}
+	f.mu.Unlock()
+
+	rep, stored := f.storeGet(key) // disk I/O stays outside the farm lock
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if stored {
+		f.c.StoreHits++
+		f.m.storeHits.Inc()
+		f.cacheLocked(key, rep)
+		return Status{State: Done, Report: rep}
+	}
+	if err, ok := f.failed.get(key); ok {
+		return Status{State: Failed, Err: err}
+	}
+	return Status{}
+}
+
+// WaitIdle blocks until no flight is unresolved, including flights started
+// while it waits.
+func (f *Farm) WaitIdle() {
+	f.mu.Lock()
+	for len(f.inflight) > 0 {
+		f.idle.Wait()
+	}
+	f.mu.Unlock()
+}
+
+// newFlightLocked registers a flight leader for key. Callers hold f.mu.
+func (f *Farm) newFlightLocked(key string, job Job) *flight {
+	f.c.CacheMisses++
+	f.m.misses.Inc()
+	fl := &flight{key: key, job: job, queuedUS: f.sinceUS(), state: Queued, done: make(chan struct{})}
+	f.inflight[key] = fl
+	f.waiting++
+	return fl
+}
+
+// enqueue hands fl to a worker, or resolves it unrun if ctx ends or the
+// farm closes first.
+func (f *Farm) enqueue(ctx context.Context, fl *flight) {
 	select {
-	case f.tasks <- t:
+	case f.tasks <- &task{ctx: ctx, fl: fl}:
 	case <-ctx.Done():
 		f.finish(fl, nil, ctx.Err(), srcAbort)
-		f.traceJob(-1, job.Name()+" [canceled]", fl.queuedUS, f.sinceUS(), f.sinceUS())
+		f.traceJob(-1, fl.job.Name()+" [canceled]", fl.queuedUS, f.sinceUS(), f.sinceUS())
 	case <-f.quit:
 		f.finish(fl, nil, ErrClosed, srcAbort)
 	}
-	<-fl.done
-	return fl.rep, fl.err
 }
 
 // Do submits every job concurrently (the pool still bounds parallelism)
@@ -332,6 +467,10 @@ func (f *Farm) worker(id int) {
 // consults the persistent store first — a hit resolves the flight without
 // simulating — and writes freshly computed reports back.
 func (f *Farm) run(id int, t *task) {
+	f.mu.Lock()
+	t.fl.state = Running
+	f.waiting--
+	f.mu.Unlock()
 	startUS := f.sinceUS()
 	if err := t.ctx.Err(); err != nil {
 		f.finish(t.fl, nil, err, srcAbort)
@@ -343,14 +482,17 @@ func (f *Farm) run(id int, t *task) {
 		f.traceJob(id, t.fl.job.Name()+" [store]", t.fl.queuedUS, startUS, f.sinceUS())
 		return
 	}
-	rep, err := f.executeWithRetry(t.ctx, t.fl.job)
-	state := "done"
-	if err != nil {
-		state = "error"
-	} else {
+	rep, err := f.attempt(t.ctx, t.fl.job)
+	state, src := "done", srcRun
+	switch {
+	case err == nil:
 		f.storePut(t.fl.key, rep)
+	case t.ctx.Err() != nil:
+		state, src = "canceled", srcAbort // the submitter left; not a failure to remember
+	default:
+		state = "error"
 	}
-	f.finish(t.fl, rep, err, srcRun)
+	f.finish(t.fl, rep, err, src)
 	f.traceJob(id, t.fl.job.Name()+" ["+state+"]", t.fl.queuedUS, startUS, f.sinceUS())
 }
 
@@ -389,32 +531,8 @@ func (f *Farm) storePut(key string, rep *cpelide.Report) {
 	f.mu.Unlock()
 }
 
-// executeWithRetry runs j, re-attempting transient failures (per-attempt
-// timeouts and worker panics) up to f.retries extra times with full-jitter
-// exponential backoff. A canceled submitter or a deterministic simulation
-// error fails immediately.
-func (f *Farm) executeWithRetry(ctx context.Context, j Job) (*cpelide.Report, error) {
-	rep, err := f.attempt(ctx, j)
-	for r := 0; r < f.retries && f.transient(ctx, err); r++ {
-		select {
-		case <-time.After(f.retryDelay(r)):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-f.quit:
-			return nil, ErrClosed
-		}
-		f.mu.Lock()
-		f.c.Retries++
-		f.m.retries.Inc()
-		f.mu.Unlock()
-		rep, err = f.attempt(ctx, j)
-	}
-	return rep, err
-}
-
-// attempt runs j once under the per-attempt deadline, translating an
-// attempt-local deadline expiry (the submitter is still waiting) into
-// ErrJobTimeout.
+// attempt runs j once under JobTimeout, translating an expiry of that
+// deadline (the submitter is still waiting) into ErrJobTimeout.
 func (f *Farm) attempt(parent context.Context, j Job) (*cpelide.Report, error) {
 	ctx := parent
 	if f.jobTimeout > 0 {
@@ -431,30 +549,6 @@ func (f *Farm) attempt(parent context.Context, j Job) (*cpelide.Report, error) {
 		return nil, fmt.Errorf("farm: job %s after %v: %w", j.Name(), f.jobTimeout, ErrJobTimeout)
 	}
 	return rep, err
-}
-
-// transient reports whether err is worth another attempt: an attempt-local
-// timeout or a panic, while the submitter itself is still waiting.
-func (f *Farm) transient(ctx context.Context, err error) bool {
-	if err == nil || ctx.Err() != nil {
-		return false
-	}
-	return errors.Is(err, ErrJobTimeout) || errors.Is(err, ErrPanic)
-}
-
-// retryDelay draws a full-jitter backoff delay for the given retry index:
-// uniform in [0, base<<attempt], capped at one second. Jitter decorrelates
-// retry storms when many jobs fail together.
-func (f *Farm) retryDelay(attempt int) time.Duration {
-	base := f.retryBase
-	if base <= 0 {
-		base = DefaultRetryDelay
-	}
-	ceil := base << uint(attempt)
-	if ceil > time.Second {
-		ceil = time.Second
-	}
-	return time.Duration(rand.Int64N(int64(ceil) + 1))
 }
 
 // execute builds the job's workload(s) and runs the simulation, converting
@@ -504,15 +598,15 @@ func (f *Farm) execute(ctx context.Context, j Job) (rep *cpelide.Report, err err
 type resolveSrc uint8
 
 const (
-	srcAbort resolveSrc = iota // canceled or closed before running; never cached
+	srcAbort resolveSrc = iota // canceled or closed; never cached or remembered
 	srcRun                     // freshly simulated
 	srcStore                   // loaded from the persistent store
 )
 
-// finish resolves a flight exactly once: memoize a successful result,
-// update the counters, and release every waiter. Successful results are
-// cached whether simulated or store-loaded; only simulations count as Runs
-// and feed the per-run metric roll-ups.
+// finish resolves a flight exactly once: memoize a successful result or
+// remember a failed run, update the counters, and release every waiter.
+// Successful results are cached whether simulated or store-loaded; only
+// simulations count as Runs and feed the per-run metric roll-ups.
 func (f *Farm) finish(fl *flight, rep *cpelide.Report, err error, src resolveSrc) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -521,6 +615,9 @@ func (f *Farm) finish(fl *flight, rep *cpelide.Report, err error, src resolveSrc
 	}
 	fl.resolved = true
 	fl.rep, fl.err = rep, err
+	if fl.state == Queued {
+		f.waiting--
+	}
 	f.m.jobUS.Observe(f.sinceUS() - fl.queuedUS)
 	switch {
 	case err != nil:
@@ -534,14 +631,28 @@ func (f *Farm) finish(fl *flight, rep *cpelide.Report, err error, src resolveSrc
 		f.c.StoreHits++
 		f.m.storeHits.Inc()
 	}
-	if err == nil && src != srcAbort && f.cache.add(fl.key, rep) {
-		f.c.Evictions++
-		f.m.evictions.Inc()
+	switch {
+	case err == nil && src != srcAbort:
+		f.cacheLocked(fl.key, rep)
+		f.failed.remove(fl.key)
+	case err != nil && src == srcRun:
+		f.failed.add(fl.key, err)
 	}
 	if f.inflight[fl.key] == fl {
 		delete(f.inflight, fl.key)
+		if len(f.inflight) == 0 {
+			f.idle.Broadcast()
+		}
 	}
 	close(fl.done)
+}
+
+// cacheLocked memoizes rep under key. Callers hold f.mu.
+func (f *Farm) cacheLocked(key string, rep *cpelide.Report) {
+	if f.cache.add(key, rep) {
+		f.c.Evictions++
+		f.m.evictions.Inc()
+	}
 }
 
 // sinceUS returns wall-clock microseconds since the farm started.

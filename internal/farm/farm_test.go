@@ -430,67 +430,16 @@ func inflightLen(f *Farm) int {
 	return len(f.inflight)
 }
 
-// TestRetryAfterTransientFailure checks panicking attempts are re-run with
-// backoff up to the retry budget, while deterministic errors fail fast.
-func TestRetryAfterTransientFailure(t *testing.T) {
-	var mu sync.Mutex
-	attempts := 0
-	execHook = func(ctx context.Context, j Job) (*cpelide.Report, error) {
-		if j.Workload == "bfs" {
-			return nil, errors.New("deterministic failure")
-		}
-		mu.Lock()
-		attempts++
-		n := attempts
-		mu.Unlock()
-		if n < 3 {
-			panic("transient fault")
-		}
-		return &cpelide.Report{Cycles: 7}, nil
-	}
-	defer func() { execHook = nil }()
-
-	f := New(Options{Workers: 1, Retries: 3, RetryBaseDelay: time.Millisecond})
-	defer f.Close()
-
-	rep, err := f.Submit(context.Background(), baseJob())
-	if err != nil {
-		t.Fatalf("job failed despite retry budget: %v", err)
-	}
-	if rep.Cycles != 7 {
-		t.Fatalf("got report %+v, want the third attempt's result", rep)
-	}
-	c := f.Counters()
-	if c.Retries != 2 || c.Panics != 2 {
-		t.Fatalf("retries=%d panics=%d, want 2 and 2", c.Retries, c.Panics)
-	}
-	if c.Runs != 1 || c.Errors != 0 {
-		t.Fatalf("runs=%d errors=%d, want 1 and 0 (the job eventually succeeded)", c.Runs, c.Errors)
-	}
-
-	// A deterministic error consumes no retries.
-	bad := baseJob()
-	bad.Workload = "bfs"
-	if _, err := f.Submit(context.Background(), bad); err == nil {
-		t.Fatal("deterministic failure succeeded")
-	}
-	if got := f.Counters().Retries; got != 2 {
-		t.Fatalf("deterministic failure was retried: retries=%d, want still 2", got)
-	}
-}
-
-// TestJobTimeout covers the per-attempt deadline: without retries the
-// submitter sees ErrJobTimeout; with a retry budget a slow first attempt is
-// re-run and can succeed.
+// TestJobTimeout covers the per-job deadline: a job that outlives it
+// fails with ErrJobTimeout on its only attempt, and the pool stays usable.
 func TestJobTimeout(t *testing.T) {
 	var mu sync.Mutex
 	attempts := 0
 	execHook = func(ctx context.Context, j Job) (*cpelide.Report, error) {
 		mu.Lock()
 		attempts++
-		n := attempts
 		mu.Unlock()
-		if n == 1 || j.Params.Iters == 13 { // first attempt (and the hopeless job) hang
+		if j.Params.Iters == 13 { // the hopeless job hangs
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
@@ -498,30 +447,19 @@ func TestJobTimeout(t *testing.T) {
 	}
 	defer func() { execHook = nil }()
 
-	f := New(Options{Workers: 1, JobTimeout: 20 * time.Millisecond, Retries: 1, RetryBaseDelay: time.Millisecond})
+	f := New(Options{Workers: 1, JobTimeout: 20 * time.Millisecond})
 	defer f.Close()
 
-	rep, err := f.Submit(context.Background(), baseJob())
-	if err != nil {
-		t.Fatalf("slow first attempt was not retried: %v", err)
-	}
-	if rep.Cycles != 9 {
-		t.Fatalf("got report %+v, want the retry's result", rep)
-	}
-	c := f.Counters()
-	if c.Timeouts != 1 || c.Retries != 1 {
-		t.Fatalf("timeouts=%d retries=%d, want 1 and 1", c.Timeouts, c.Retries)
-	}
-
-	// A job that hangs on every attempt exhausts the budget and surfaces
-	// ErrJobTimeout to the submitter.
 	hopeless := baseJob()
 	hopeless.Params.Iters = 13
 	if _, err := f.Submit(context.Background(), hopeless); !errors.Is(err, ErrJobTimeout) {
 		t.Fatalf("got %v, want ErrJobTimeout", err)
 	}
-	if c := f.Counters(); c.Timeouts != 3 || c.Errors != 1 {
-		t.Fatalf("timeouts=%d errors=%d, want 3 and 1", c.Timeouts, c.Errors)
+	if c := f.Counters(); c.Timeouts != 1 || c.Errors != 1 || attempts != 1 {
+		t.Fatalf("timeouts=%d errors=%d attempts=%d, want 1, 1 and 1 (no retry)", c.Timeouts, c.Errors, attempts)
+	}
+	if rep, err := f.Submit(context.Background(), baseJob()); err != nil || rep.Cycles != 9 {
+		t.Fatalf("pool unusable after a timeout: rep=%+v err=%v", rep, err)
 	}
 }
 
@@ -556,5 +494,100 @@ func TestDoOrderAndError(t *testing.T) {
 	bad[1].Workload = "bfs"
 	if _, err := f.Do(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("Do error = %v, want the job failure", err)
+	}
+}
+
+// TestStartLookupLifecycle walks keys through the serving path: Start
+// registers a flight without waiting, Lookup reports it queued, then
+// running, then done; the waiting-flight bound sheds new work; and a
+// failed run is reported, not re-run, until it is forgotten.
+func TestStartLookupLifecycle(t *testing.T) {
+	release := make(chan struct{})
+	var mu sync.Mutex
+	runs := map[int]int{}
+	execHook = func(ctx context.Context, j Job) (*cpelide.Report, error) {
+		mu.Lock()
+		runs[j.Params.Iters]++
+		mu.Unlock()
+		switch {
+		case j.Params.Iters == 1:
+			<-release
+		case j.Params.Iters >= 13:
+			return nil, errors.New("deterministic failure")
+		}
+		return &cpelide.Report{Cycles: uint64(j.Params.Iters)}, nil
+	}
+	defer func() { execHook = nil }()
+
+	f := New(Options{Workers: 1})
+	defer f.Close()
+	jobFor := func(i int) Job {
+		j := baseJob()
+		j.Params.Iters = i
+		return j
+	}
+	waitState := func(key string, want State) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for f.Lookup(key).State != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("key stuck in %v, want %v", f.Lookup(key).State, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	if st := f.Lookup(mustKey(t, jobFor(1))); st.State != Unknown {
+		t.Fatalf("unseen key: %v", st.State)
+	}
+	slow, st, err := f.Start(jobFor(1), 1)
+	if err != nil || st.State != Queued {
+		t.Fatalf("start: %v %v, want queued", st.State, err)
+	}
+	waitState(slow, Running)
+	queued, st, err := f.Start(jobFor(2), 1)
+	if err != nil || st.State != Queued {
+		t.Fatalf("second start: %v %v, want queued", st.State, err)
+	}
+	if _, _, err := f.Start(jobFor(3), 1); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("third start with one flight waiting: %v, want ErrQueueFull", err)
+	}
+	if _, st, _ := f.Start(jobFor(1), 1); st.State != Running {
+		t.Fatalf("identical start: %v, want running", st.State)
+	}
+	close(release)
+	f.WaitIdle()
+	for _, key := range []string{slow, queued} {
+		if st := f.Lookup(key); st.State != Done || st.Report == nil {
+			t.Fatalf("after WaitIdle: %v, want done with a report", st.State)
+		}
+	}
+	if c := f.Counters(); c.Jobs != 4 || c.DedupWaits != 1 || c.CacheMisses != 2 || c.Runs != 2 {
+		t.Fatalf("counters %+v, want 4 jobs (one shed), 1 dedup, 2 misses, 2 runs", c)
+	}
+
+	// Failures are remembered, answered without re-running, and bounded.
+	var failed []string
+	for i := 0; i < recentFailures+1; i++ {
+		key, _, err := f.Start(jobFor(13+i), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed = append(failed, key)
+		f.WaitIdle() // fail in submission order
+	}
+	if st := f.Lookup(failed[0]); st.State != Unknown {
+		t.Fatalf("oldest failure: %v, want forgotten", st.State)
+	}
+	last := failed[len(failed)-1]
+	if st := f.Lookup(last); st.State != Failed || st.Err == nil {
+		t.Fatalf("latest failure: %v %v, want failed", st.State, st.Err)
+	}
+	_, st, _ = f.Start(jobFor(13+recentFailures), 1)
+	mu.Lock()
+	n := runs[13+recentFailures]
+	mu.Unlock()
+	if st.State != Failed || n != 1 {
+		t.Fatalf("resubmitted failure: %v after %d runs, want failed and not re-run", st.State, n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro"
 	"repro/internal/config"
@@ -191,4 +192,10 @@ func (j Job) Key() (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// isKey reports whether s has the shape of a Key: 64 lowercase hex digits.
+func isKey(s string) bool {
+	b, err := hex.DecodeString(s)
+	return err == nil && len(b) == sha256.Size && s == strings.ToLower(s)
 }

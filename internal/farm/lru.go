@@ -2,55 +2,57 @@ package farm
 
 import (
 	"container/list"
-
-	"repro"
 )
 
-// lruCache is a bounded most-recently-used result cache keyed by canonical
-// job hash. It is not goroutine-safe; the Farm guards it with its mutex.
-type lruCache struct {
-	cap int // <= 0 disables caching entirely
+// lruCache is a bounded most-recently-used map keyed by canonical job hash.
+// It is not goroutine-safe; the Farm guards it with its mutex.
+type lruCache[V any] struct {
+	cap int
 	ll  *list.List
 	m   map[string]*list.Element
 }
 
-type lruEntry struct {
+type lruEntry[V any] struct {
 	key string
-	rep *cpelide.Report
+	val V
 }
 
-func newLRU(capacity int) *lruCache {
-	return &lruCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
+func newLRU[V any](capacity int) *lruCache[V] {
+	return &lruCache[V]{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-func (c *lruCache) get(key string) (*cpelide.Report, bool) {
+func (c *lruCache[V]) get(key string) (V, bool) {
 	el, ok := c.m[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).rep, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
 // add inserts or refreshes key and reports whether an older entry was
 // evicted to stay within capacity.
-func (c *lruCache) add(key string, rep *cpelide.Report) bool {
-	if c.cap <= 0 {
-		return false
-	}
+func (c *lruCache[V]) add(key string, val V) bool {
 	if el, ok := c.m[key]; ok {
-		el.Value.(*lruEntry).rep = rep
+		el.Value.(*lruEntry[V]).val = val
 		c.ll.MoveToFront(el)
 		return false
 	}
-	c.m[key] = c.ll.PushFront(&lruEntry{key: key, rep: rep})
+	c.m[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
 	if c.ll.Len() <= c.cap {
 		return false
 	}
-	oldest := c.ll.Back()
-	c.ll.Remove(oldest)
-	delete(c.m, oldest.Value.(*lruEntry).key)
+	c.remove(c.ll.Back().Value.(*lruEntry[V]).key)
 	return true
 }
 
-func (c *lruCache) len() int { return c.ll.Len() }
+// remove drops key if present.
+func (c *lruCache[V]) remove(key string) {
+	if el, ok := c.m[key]; ok {
+		c.ll.Remove(el)
+		delete(c.m, key)
+	}
+}
+
+func (c *lruCache[V]) len() int { return c.ll.Len() }

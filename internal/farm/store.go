@@ -18,41 +18,3 @@ type Store interface {
 	Get(key string) (*cpelide.Report, bool, error)
 	Put(key string, rep *cpelide.Report) error
 }
-
-// Warm preloads the in-memory result cache from the store, most useful at
-// worker startup with keys from diskstore.RecentKeys. It returns how many
-// reports were loaded. Keys that miss or fail to load are skipped (failures
-// land in the StoreErrors counter); keys already resident stay put.
-func (f *Farm) Warm(keys []string) int {
-	if f.store == nil {
-		return 0
-	}
-	loaded := 0
-	for _, key := range keys {
-		f.mu.Lock()
-		_, resident := f.cache.get(key)
-		f.mu.Unlock()
-		if resident {
-			continue
-		}
-		rep, ok, err := f.store.Get(key)
-		if err != nil {
-			f.mu.Lock()
-			f.c.StoreErrors++
-			f.m.storeErrs.Inc()
-			f.mu.Unlock()
-			continue
-		}
-		if !ok {
-			continue
-		}
-		f.mu.Lock()
-		if f.cache.add(key, rep) {
-			f.c.Evictions++
-			f.m.evictions.Inc()
-		}
-		f.mu.Unlock()
-		loaded++
-	}
-	return loaded
-}

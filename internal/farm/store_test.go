@@ -137,63 +137,6 @@ func TestStoreErrorsDoNotFailJobs(t *testing.T) {
 	}
 }
 
-// TestWarm preloads the LRU from the store: hits load, misses and failures
-// skip, resident keys are left alone.
-func TestWarm(t *testing.T) {
-	st := newMemStore()
-	jobs := make([]Job, 3)
-	keys := make([]string, 3)
-	for i := range jobs {
-		jobs[i] = baseJob()
-		jobs[i].Params = workloads.Params{Scale: 0.5, Iters: i + 1}
-		keys[i] = mustKey(t, jobs[i])
-		st.m[keys[i]] = &cpelide.Report{Workload: "square", Cycles: uint64(100 + i)}
-	}
-
-	execHook = func(ctx context.Context, j Job) (*cpelide.Report, error) {
-		t.Errorf("execHook called for %s after warm-start", j.Name())
-		return nil, errors.New("must not run")
-	}
-	defer func() { execHook = nil }()
-
-	f := New(Options{Workers: 1, Store: st})
-	defer f.Close()
-
-	missing := "0000000000000000000000000000000000000000000000000000000000000000"
-	if n := f.Warm(append([]string{missing}, keys...)); n != 3 {
-		t.Fatalf("Warm loaded %d, want 3", n)
-	}
-	if f.CacheLen() != 3 {
-		t.Fatalf("cache holds %d entries after warm, want 3", f.CacheLen())
-	}
-	// Warming again is a no-op: everything is resident.
-	gets := st.gets
-	if n := f.Warm(keys); n != 0 {
-		t.Fatalf("second Warm loaded %d, want 0", n)
-	}
-	if st.gets != gets {
-		t.Fatalf("second Warm touched the store (%d -> %d gets)", gets, st.gets)
-	}
-
-	for i, job := range jobs {
-		rep, err := f.Submit(context.Background(), job)
-		if err != nil || rep.Cycles != uint64(100+i) {
-			t.Fatalf("job %d after warm: rep=%+v err=%v", i, rep, err)
-		}
-	}
-	c := f.Counters()
-	if c.CacheHits != 3 || c.Runs != 0 {
-		t.Fatalf("counters = %+v, want 3 pure cache hits", c)
-	}
-
-	// A farm without a store warms to nothing.
-	f2 := New(Options{Workers: 1})
-	defer f2.Close()
-	if n := f2.Warm(keys); n != 0 {
-		t.Fatalf("storeless Warm loaded %d, want 0", n)
-	}
-}
-
 // TestDiskstoreBackedFarm is the restart story end to end: one farm computes
 // and persists, a second farm over the same directory serves from disk
 // without re-simulating.
@@ -234,25 +177,19 @@ func TestDiskstoreBackedFarm(t *testing.T) {
 		t.Fatal("report from disk differs from the freshly computed one")
 	}
 
-	// Warm-start path: a third farm preloads from RecentKeys and serves the
-	// job as a plain LRU hit.
+	// A third farm over the same directory answers a lookup from disk
+	// without a submission, and keeps the report in its cache.
 	st3, err := diskstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, err := st3.RecentKeys(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f3 := New(Options{Workers: 2, Store: st3})
 	defer f3.Close()
-	if n := f3.Warm(keys); n != 1 {
-		t.Fatalf("Warm loaded %d, want 1", n)
+	got := f3.Lookup(mustKey(t, job))
+	if got.State != Done || marshal(t, got.Report) != marshal(t, rep1) {
+		t.Fatalf("lookup over the store: %v, want the stored report", got.State)
 	}
-	if _, err := f3.Submit(context.Background(), job); err != nil {
-		t.Fatal(err)
-	}
-	if c := f3.Counters(); c.CacheHits != 1 || c.StoreHits != 0 || c.Runs != 0 {
-		t.Fatalf("warmed farm counters = %+v, want CacheHits=1", c)
+	if c := f3.Counters(); c.StoreHits != 1 || c.Runs != 0 || f3.CacheLen() != 1 {
+		t.Fatalf("lookup counters = %+v cacheLen=%d, want StoreHits=1 and a cached report", c, f3.CacheLen())
 	}
 }

@@ -3,7 +3,9 @@
 // whole paper figures, all backed by the farm's worker pool and
 // content-addressed result cache. Job IDs are the canonical content hash of
 // the request, so resubmitting an identical job returns the same ID and —
-// once it has run anywhere in the process — its cached report.
+// while the farm still holds it — its cached report. The farm is the only
+// job table: an ID it has forgotten answers 404, and resubmitting the body
+// recomputes it.
 //
 // cmd/cpelide-server wraps this package as a standalone binary; in a cluster
 // the same server runs as a worker behind cmd/cpelide-coordinator, which
@@ -15,10 +17,10 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -78,10 +80,51 @@ func parseProtocol(s string) (cpelide.Protocol, error) {
 	return 0, fmt.Errorf("unknown protocol %q", s)
 }
 
-// Job converts the request into a farm job. The cluster coordinator uses
-// it to compute a submission's content hash for routing without running
-// anything.
+// Admission limits on a JobRequest: several times the largest values the
+// experiment suite and cmd/sweep use (8 chiplets, scale 1, 120 iterations,
+// 2 streams, 256 table entries, the 12K-entry directory with 8 lines per
+// entry). A request beyond them is a bad request, not gigabytes of tags.
+const (
+	MaxChiplets         = 16
+	MaxScale            = 4.0
+	MaxIters            = 1000
+	MaxStreams          = MaxChiplets
+	MaxTableEntries     = 4096
+	MaxDirEntries       = 64 << 10
+	MaxDirLinesPerEntry = 64
+)
+
+// checkLimits rejects a request whose sizes exceed the admission limits.
+func (r JobRequest) checkLimits() error {
+	if r.Chiplets < 0 {
+		return fmt.Errorf("chiplets %d is negative", r.Chiplets)
+	}
+	for _, l := range []struct {
+		name   string
+		v, max float64
+	}{
+		{"chiplets", float64(r.Chiplets), MaxChiplets},
+		{"scale", r.Scale, MaxScale},
+		{"iters", float64(r.Iters), MaxIters},
+		{"streams", float64(len(r.Streams)), MaxStreams},
+		{"table_entries", float64(r.TableEntries), MaxTableEntries},
+		{"dir_entries", float64(r.DirEntries), MaxDirEntries},
+		{"dir_lines_per_entry", float64(r.DirLinesPerEntry), MaxDirLinesPerEntry},
+	} {
+		if l.v > l.max {
+			return fmt.Errorf("%s %v above the limit %v", l.name, l.v, l.max)
+		}
+	}
+	return nil
+}
+
+// Job converts the request into a farm job, rejecting requests beyond the
+// admission limits. The cluster coordinator uses it to compute a
+// submission's content hash for routing without running anything.
 func (r JobRequest) Job() (farm.Job, error) {
+	if err := r.checkLimits(); err != nil {
+		return farm.Job{}, err
+	}
 	proto, err := parseProtocol(r.Protocol)
 	if err != nil {
 		return farm.Job{}, err
@@ -119,30 +162,7 @@ func (r JobRequest) Job() (farm.Job, error) {
 	return j, nil
 }
 
-// serverJob tracks one accepted submission through the farm.
-type serverJob struct {
-	id  string
-	job farm.Job
-
-	mu     sync.Mutex
-	status string // queued | running | done | error
-	rep    *cpelide.Report
-	errMsg string
-}
-
-func (s *serverJob) set(status string, rep *cpelide.Report, errMsg string) {
-	s.mu.Lock()
-	s.status, s.rep, s.errMsg = status, rep, errMsg
-	s.mu.Unlock()
-}
-
-func (s *serverJob) snapshot() (status string, rep *cpelide.Report, errMsg string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.status, s.rep, s.errMsg
-}
-
-// server owns the farm, a bounded submission queue, and the job registry.
+// Server serves the HTTP API over a farm, which is its only job table.
 type Server struct {
 	farm     *farm.Farm
 	queueCap int
@@ -153,32 +173,20 @@ type Server struct {
 	reg *metrics.Registry
 	log *slog.Logger
 
-	mu       sync.Mutex
-	queue    chan *serverJob
-	jobs     map[string]*serverJob
+	// mu is held shared by each submission and exclusively to start a
+	// drain, so Drain waits for every job it let in.
+	mu       sync.RWMutex
 	draining bool
-
-	wg sync.WaitGroup // dispatcher goroutines
 }
 
-// New starts a server whose submission queue holds queueCap pending
-// jobs and whose dispatchers feed the given farm. Call Drain to stop.
+// New returns a server over the given farm that sheds new jobs (429) while
+// queueCap of the farm's flights are waiting for a worker. Call Drain to
+// stop.
 func New(f *farm.Farm, queueCap int) *Server {
 	if queueCap <= 0 {
 		queueCap = 64
 	}
-	s := &Server{
-		farm:     f,
-		queueCap: queueCap,
-		queue:    make(chan *serverJob, queueCap),
-		jobs:     make(map[string]*serverJob),
-	}
-	n := f.Workers()
-	s.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go s.dispatch()
-	}
-	return s
+	return &Server{farm: f, queueCap: queueCap}
 }
 
 // instrument attaches the observability surface: the metrics registry
@@ -187,16 +195,10 @@ func New(f *farm.Farm, queueCap int) *Server {
 func (s *Server) Instrument(reg *metrics.Registry, logger *slog.Logger) {
 	s.reg = reg
 	s.log = logger
-	reg.GaugeFunc("server_queue_depth", "Jobs waiting for a dispatcher.", func() int64 {
-		return int64(len(s.queue))
+	reg.GaugeFunc("server_queue_depth", "Jobs waiting for a farm worker.", func() int64 {
+		return int64(s.farm.Waiting())
 	})
-	reg.GaugeFunc("server_jobs_known", "Job IDs tracked since startup.", func() int64 {
-		s.mu.Lock()
-		n := len(s.jobs)
-		s.mu.Unlock()
-		return int64(n)
-	})
-	reg.Gauge("server_queue_cap", "Submission queue capacity.").Set(int64(s.queueCap))
+	reg.Gauge("server_queue_cap", "Waiting jobs beyond which submissions are shed.").Set(int64(s.queueCap))
 }
 
 // logger returns the structured logger, discarding when none was attached.
@@ -207,40 +209,33 @@ func (s *Server) logger() *slog.Logger {
 	return s.log
 }
 
-// dispatch feeds queued jobs into the farm until the queue is closed. The
-// farm's own pool bounds simulation parallelism; one dispatcher per worker
-// keeps it saturated while cache hits return immediately.
-func (s *Server) dispatch() {
-	defer s.wg.Done()
-	for sj := range s.queue {
-		sj.set("running", nil, "")
-		start := time.Now()
-		rep, err := s.farm.Submit(context.Background(), sj.job)
-		if err != nil {
-			sj.set("error", nil, err.Error())
-			s.logger().Error("job failed", "job_id", sj.id, "job", sj.job.Name(),
-				"dur_us", time.Since(start).Microseconds(), "err", err)
-			continue
-		}
-		sj.set("done", rep, "")
-		s.logger().Info("job done", "job_id", sj.id, "job", sj.job.Name(),
-			"dur_us", time.Since(start).Microseconds(), "cycles", rep.Cycles)
-	}
-}
-
-// Drain stops accepting submissions, waits for every queued job to finish,
-// and returns. The farm itself is left to the caller to Close.
+// Drain stops accepting submissions and waits until every accepted job
+// has resolved. The farm itself is left to the caller to Close.
 func (s *Server) Drain() {
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
 	s.draining = true
-	close(s.queue)
 	s.mu.Unlock()
-	s.wg.Wait()
+	s.farm.WaitIdle()
+}
+
+// Timeouts for the long-lived HTTP services. There is no write timeout:
+// /v1/figures answers synchronously and may simulate for minutes.
+const (
+	readHeaderTimeout = 2 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
+// NewHTTPServer returns the http.Server that cpelide-server and
+// cpelide-coordinator listen with.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // figures maps the figure-endpoint names onto the experiment suite (fig8
@@ -275,8 +270,8 @@ func (s *Server) Handler() http.Handler {
 // unique within the process's log stream.
 var requestSeq atomic.Uint64
 
-// newRequestID draws a 16-hex-digit correlation ID.
-func newRequestID() string {
+// NewRequestID draws a 16-hex-digit correlation ID.
+func NewRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return fmt.Sprintf("req-%d", requestSeq.Add(1))
@@ -302,7 +297,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
-			id = newRequestID()
+			id = NewRequestID()
 		}
 		w.Header().Set("X-Request-ID", id)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
@@ -364,9 +359,9 @@ func writeErr(w http.ResponseWriter, status int, code string, format string, arg
 	})
 }
 
-// handleSubmit accepts a job (202), reports an already-known job's state
-// (200), sheds load when the queue is full (429), or rejects during
-// shutdown (503).
+// handleSubmit starts a job (202 while it is queued or running), reports
+// an already-finished job's state (200), sheds load when too many jobs are
+// waiting (429), or rejects during shutdown (503).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	body := http.MaxBytesReader(w, r.Body, MaxRequestBytes)
@@ -379,72 +374,60 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 		return
 	}
-	id, err := job.Key()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-		return
+	// The read lock orders this start before any drain's WaitIdle.
+	s.mu.RLock()
+	id, st, err := "", farm.Status{}, farm.ErrClosed
+	if !s.draining {
+		id, st, err = s.farm.Start(job, s.queueCap)
 	}
-
-	s.mu.Lock()
-	if sj, ok := s.jobs[id]; ok {
-		s.mu.Unlock()
-		status, _, errMsg := sj.snapshot()
-		writeJSON(w, http.StatusOK, StatusResponse{ID: id, Status: status, Error: errMsg})
-		return
-	}
-	if s.draining {
-		s.mu.Unlock()
+	s.mu.RUnlock()
+	switch {
+	case errors.Is(err, farm.ErrClosed):
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeDraining, "server is draining")
-		return
-	}
-	sj := &serverJob{id: id, job: job, status: "queued"}
-	select {
-	case s.queue <- sj:
-		s.jobs[id] = sj
-		s.mu.Unlock()
-		s.logger().Info("job accepted", "job_id", id, "job", job.Name())
-		writeJSON(w, http.StatusAccepted, StatusResponse{ID: id, Status: "queued"})
-	default:
-		s.mu.Unlock()
+	case errors.Is(err, farm.ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusTooManyRequests, ErrCodeQueueFull, "queue full (%d pending)", s.queueCap)
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
+	case st.State == farm.Done || st.State == farm.Failed:
+		writeJSON(w, http.StatusOK, statusResponse(id, st))
+	default:
+		s.logger().Info("job accepted", "job_id", id, "job", job.Name())
+		writeJSON(w, http.StatusAccepted, statusResponse(id, st))
 	}
 }
 
-func (s *Server) lookup(id string) (*serverJob, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sj, ok := s.jobs[id]
-	return sj, ok
+func statusResponse(id string, st farm.Status) StatusResponse {
+	sr := StatusResponse{ID: id, Status: string(st.State)}
+	if st.Err != nil {
+		sr.Error = st.Err.Error()
+	}
+	return sr
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sj, ok := s.lookup(id)
-	if !ok {
+	st := s.farm.Lookup(id)
+	if st.State == farm.Unknown {
 		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown job %q", id)
 		return
 	}
-	status, _, errMsg := sj.snapshot()
-	writeJSON(w, http.StatusOK, StatusResponse{ID: id, Status: status, Error: errMsg})
+	writeJSON(w, http.StatusOK, statusResponse(id, st))
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sj, ok := s.lookup(id)
-	if !ok {
+	st := s.farm.Lookup(id)
+	switch st.State {
+	case farm.Unknown:
 		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown job %q", id)
-		return
-	}
-	status, rep, errMsg := sj.snapshot()
-	switch status {
-	case "done":
-		writeJSON(w, http.StatusOK, rep)
-	case "error":
-		writeErr(w, http.StatusInternalServerError, ErrCodeJobFailed, "job failed: %s", errMsg)
-	default:
+	case farm.Done:
+		writeJSON(w, http.StatusOK, st.Report)
+	case farm.Failed:
+		writeErr(w, http.StatusInternalServerError, ErrCodeJobFailed, "job failed: %v", st.Err)
+	case farm.Queued, farm.Running:
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusAccepted, StatusResponse{ID: id, Status: status})
+		writeJSON(w, http.StatusAccepted, statusResponse(id, st))
 	}
 }
 
@@ -506,38 +489,36 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 }
 
 type StatsResponse struct {
-	Farm      farm.Counters `json:"farm"`
-	CacheLen  int           `json:"cache_len"`
-	QueueLen  int           `json:"queue_len"`
-	QueueCap  int           `json:"queue_cap"`
-	Workers   int           `json:"workers"`
-	JobsKnown int           `json:"jobs_known"`
-	Draining  bool          `json:"draining"`
+	Farm     farm.Counters `json:"farm"`
+	CacheLen int           `json:"cache_len"`
+	QueueLen int           `json:"queue_len"`
+	QueueCap int           `json:"queue_cap"`
+	Workers  int           `json:"workers"`
+	Draining bool          `json:"draining"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	resp := StatsResponse{
-		Farm:      s.farm.Counters(),
-		CacheLen:  s.farm.CacheLen(),
-		QueueLen:  len(s.queue),
-		QueueCap:  s.queueCap,
-		Workers:   s.farm.Workers(),
-		JobsKnown: len(s.jobs),
-		Draining:  s.draining,
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, StatsResponse{
+		Farm:     s.farm.Counters(),
+		CacheLen: s.farm.CacheLen(),
+		QueueLen: s.farm.Waiting(),
+		QueueCap: s.queueCap,
+		Workers:  s.farm.Workers(),
+		Draining: s.isDraining(),
+	})
+}
+
+func (s *Server) isDraining() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.draining
 }
 
 // handleHealth is the liveness and readiness probe: 200 while serving, 503
 // once draining so load balancers and the cluster coordinator stop routing
 // jobs here before the listener actually goes away.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.isDraining() {
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeDraining, "server is draining")
 		return
 	}

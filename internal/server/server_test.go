@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -382,5 +384,172 @@ func TestFigureAndStatsEndpoints(t *testing.T) {
 	}
 	if after := eng.Counters().Runs; after != before {
 		t.Fatalf("figure rerun re-simulated: %d -> %d runs", before, after)
+	}
+}
+
+// pollDone polls a job's status until it is done, failing on error or after
+// 30s.
+func pollDone(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var st StatusResponse
+		get(t, ts, "/v1/jobs/"+id, &st)
+		if st.Status == "done" {
+			return
+		}
+		if st.Status == "error" || time.Now().After(deadline) {
+			t.Fatalf("job %s did not finish: %+v", id, st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// getBytes fetches path and returns its status and raw body.
+func getBytes(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
+}
+
+// TestEvictedJobsAreForgotten pins the server's memory bound: with a
+// two-entry farm cache, ten finished jobs leave only the two most recent
+// answerable; the rest read 404 not_found, and resubmitting an evicted body
+// recomputes a byte-identical report.
+func TestEvictedJobsAreForgotten(t *testing.T) {
+	eng := farm.New(farm.Options{Workers: 1, CacheEntries: 2})
+	defer eng.Close()
+	s := New(eng, 8)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const n = 10
+	bodies := make([]string, n)
+	ids := make([]string, n)
+	reports := make([][]byte, n)
+	for i := range bodies {
+		bodies[i] = fmt.Sprintf(`{"workload": "square", "scale": 0.05, "iters": %d}`, i+1)
+		code, sr := post(t, ts, bodies[i])
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: got %d, want 202", i, code)
+		}
+		ids[i] = sr.ID
+		pollDone(t, ts, sr.ID)
+		code, reports[i] = getBytes(t, ts, "/v1/jobs/"+sr.ID+"/result")
+		if code != http.StatusOK {
+			t.Fatalf("result %d: got %d, want 200", i, code)
+		}
+	}
+	s.Drain()
+
+	for i, id := range ids {
+		resident := i >= n-2
+		code, b := getBytes(t, ts, "/v1/jobs/"+id+"/result")
+		switch {
+		case resident && (code != http.StatusOK || !bytes.Equal(b, reports[i])):
+			t.Errorf("resident job %d: got %d, want 200 with its report", i, code)
+		case !resident && code != http.StatusNotFound:
+			t.Errorf("evicted job %d: got %d, want 404", i, code)
+		case !resident:
+			var e ErrorResponse
+			if err := json.Unmarshal(b, &e); err != nil || e.Code != ErrCodeNotFound {
+				t.Errorf("evicted job %d: body %s, want code %q", i, b, ErrCodeNotFound)
+			}
+		}
+	}
+
+	// The drained server refuses work; a fresh one over the same farm
+	// recomputes the evicted job exactly.
+	s2 := New(eng, 8)
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	defer s2.Drain()
+	code, sr := post(t, ts2, bodies[0])
+	if code != http.StatusAccepted || sr.ID != ids[0] {
+		t.Fatalf("resubmit evicted: got %d %+v, want 202 for %s", code, sr, ids[0])
+	}
+	pollDone(t, ts2, sr.ID)
+	if code, b := getBytes(t, ts2, "/v1/jobs/"+sr.ID+"/result"); code != http.StatusOK || !bytes.Equal(b, reports[0]) {
+		t.Fatalf("recomputed report: got %d, want 200 with the original bytes", code)
+	}
+	if c := eng.Counters(); c.Runs != n+1 || c.Evictions != n-1 {
+		t.Fatalf("farm runs=%d evictions=%d, want %d and %d", c.Runs, c.Evictions, n+1, n-1)
+	}
+}
+
+// TestAdmissionLimits rejects requests beyond the admission limits with
+// 400 bad_request before anything is allocated, and accepts the limits
+// themselves.
+func TestAdmissionLimits(t *testing.T) {
+	eng := farm.New(farm.Options{Workers: 1})
+	defer eng.Close()
+	s := New(eng, 4)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain()
+
+	for _, body := range []string{
+		`{"workload": "square", "chiplets": 1000}`,
+		`{"workload": "square", "chiplets": -1}`,
+		`{"workload": "square", "scale": 4.5}`,
+		`{"workload": "square", "iters": 1001}`,
+		`{"workload": "square", "protocol": "cpelide", "table_entries": 5000}`,
+		`{"workload": "square", "protocol": "hmg", "dir_entries": 1000000}`,
+		`{"workload": "square", "protocol": "hmg", "dir_lines_per_entry": 65}`,
+		`{"streams": [` + strings.Repeat(`{"workload": "square"},`, MaxStreams) + `{"workload": "square"}]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: got %d, want 400", body, resp.StatusCode)
+		}
+		if e := decodeErr(t, resp); e.Code != ErrCodeBadRequest {
+			t.Errorf("%s: code %q, want %q", body, e.Code, ErrCodeBadRequest)
+		}
+	}
+	at := JobRequest{Workload: "square", Chiplets: MaxChiplets, Scale: MaxScale, Iters: MaxIters,
+		TableEntries: MaxTableEntries, DirEntries: MaxDirEntries, DirLinesPerEntry: MaxDirLinesPerEntry}
+	if _, err := at.Job(); err != nil {
+		t.Fatalf("request at the limits rejected: %v", err)
+	}
+}
+
+// TestSlowHeaderDisconnected checks the shared HTTP server drops a client
+// that sends half a request header and stalls.
+func TestSlowHeaderDisconnected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewHTTPServer("", http.NotFoundHandler())
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	_, err = io.Copy(io.Discard, conn) // returns once the server hangs up
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("server kept a stalled half-header connection open for %v", time.Since(start))
+	}
+	if took := time.Since(start); took < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the header timeout", took)
 	}
 }
