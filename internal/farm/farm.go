@@ -373,6 +373,9 @@ func (f *Farm) lookup(key string, submit bool) Status {
 	rep, stored := f.storeGet(key) // disk I/O stays outside the farm lock
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if rep, ok := f.cache.get(key); ok { // a concurrent lookup loaded it first
+		return Status{State: Done, Report: rep}
+	}
 	if stored {
 		f.c.StoreHits++
 		f.m.storeHits.Inc()

@@ -193,3 +193,51 @@ func TestDiskstoreBackedFarm(t *testing.T) {
 		t.Fatalf("lookup counters = %+v cacheLen=%d, want StoreHits=1 and a cached report", c, f3.CacheLen())
 	}
 }
+
+// barrierStore is a Store whose Get blocks until n callers are inside it,
+// so concurrent lookups of one key all read the store before any of them
+// re-takes the farm lock.
+type barrierStore struct {
+	*memStore
+	n       int
+	mu      sync.Mutex
+	arrived int
+	release chan struct{}
+}
+
+func (s *barrierStore) Get(key string) (*cpelide.Report, bool, error) {
+	s.mu.Lock()
+	if s.arrived++; s.arrived == s.n {
+		close(s.release)
+	}
+	s.mu.Unlock()
+	<-s.release
+	return s.memStore.Get(key)
+}
+
+// TestConcurrentLookupsCountOneStoreHit: two lookups of a key that is only
+// in the store both read it, but only the one that loads it into the cache
+// counts a store hit.
+func TestConcurrentLookupsCountOneStoreHit(t *testing.T) {
+	job := baseJob()
+	key := mustKey(t, job)
+	st := &barrierStore{memStore: newMemStore(), n: 2, release: make(chan struct{})}
+	st.m[key] = &cpelide.Report{Workload: "square", Cycles: 42}
+
+	f := New(Options{Workers: 1, Store: st})
+	defer f.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < st.n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := f.Lookup(key); got.State != Done || got.Report.Cycles != 42 {
+				t.Errorf("lookup = %v, want the stored report", got.State)
+			}
+		}()
+	}
+	wg.Wait()
+	if c := f.Counters(); c.StoreHits != 1 || f.CacheLen() != 1 {
+		t.Fatalf("counters = %+v cacheLen=%d, want StoreHits=1 and one cached report", c, f.CacheLen())
+	}
+}

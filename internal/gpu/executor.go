@@ -246,6 +246,11 @@ func (x *Executor) RunKernel(l *coherence.Launch, exposeCP bool) KernelResult {
 			x.latency[a.CU] += uint64(r.Cycles)
 			res.Accesses++
 		}
+		// A partition that provably cannot hit its L1s runs without them.
+		// A chiplet bound twice would carry L1 contents between its
+		// partitions, so it keeps them.
+		m.ElideL1(kernels.NoL1Reuse(k, slot, nparts, cus, cfg.LineSize, x.Sched) &&
+			soleSlot(l.Chiplets, slot))
 		kernels.GenerateScheduled(k, l.Inst, x.Seed, slot, nparts, cus, cfg.LineSize, x.Sched, access)
 
 		// Compute per CU: WGs round-robin over CUs.
@@ -319,6 +324,8 @@ func (x *Executor) RunKernel(l *coherence.Launch, exposeCP bool) KernelResult {
 		}
 	}
 
+	m.ElideL1(false)
+
 	// Shared-bank serialization: the kernel can finish no faster than its
 	// busiest L2 or L3 bank drains the traffic all partitions sent it —
 	// the hot-bank bottleneck per-partition floors cannot see.
@@ -337,6 +344,16 @@ func (x *Executor) RunKernel(l *coherence.Launch, exposeCP bool) KernelResult {
 	m.Sheet.Add(stats.ComputeCycles, res.ComputeCycles)
 	m.Sheet.Add(stats.MemoryCycles, res.MemoryCycles)
 	return res
+}
+
+// soleSlot reports whether no other partition shares slot's chiplet.
+func soleSlot(chiplets []int, slot int) bool {
+	for i, c := range chiplets {
+		if c == chiplets[slot] && i != slot {
+			return false
+		}
+	}
+	return true
 }
 
 // totalDRAM sums HBM traffic across all partitions.

@@ -144,7 +144,11 @@ func TestExposeCPOnlyWhenRequested(t *testing.T) {
 
 func TestL1InvalidatedEveryLaunch(t *testing.T) {
 	x, m := setup(t)
-	l := mkLaunch(10, 4096)
+	// 4-line slices with 5-line halos: the kernel stays on the L1 path
+	// (kernels.NoL1Reuse refuses halos wider than a slice), yet each CU
+	// runs one WG and reads its 14 lines once, all of which its L1 keeps.
+	l := mkLaunch(10, 1024)
+	l.Kernel.Args[0].Pattern, l.Kernel.Args[0].HaloLines = kernels.Stencil, 5
 	x.RunKernel(l, false)
 	// L1s hold lines now; a new launch must start from empty L1s.
 	var before int

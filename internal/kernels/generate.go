@@ -240,6 +240,68 @@ func GenerateScheduled(k *Kernel, inst int, seed uint64, part, nparts, cus, line
 	}
 }
 
+// NoL1Reuse reports whether, in partition part of nparts of kernel k run on
+// cus CUs under sched, GenerateScheduled provably emits no two reads of one
+// line from one CU. An L1 is empty at launch and only a read miss fills it,
+// so no L1 read of such a partition can hit. It accepts only when
+//
+//   - no arg is an Indirect read: its gathers are random;
+//   - no Broadcast arg makes more than one sweep;
+//   - no two args that read (ReadModifyWrite and Stencil halos included)
+//     span overlapping lines; and
+//   - every Stencil halo reaches only the neighbouring slices (each slice is
+//     at least HaloLines long) and WGs within distance 2 of each other run
+//     on distinct CUs, since a line is read by its own WG and both
+//     neighbours. ChunkedCU fails this whenever a CU runs two WGs.
+//
+// Under these conditions each arg reads a line at most once per WG, WG
+// slices are disjoint, and a Broadcast sweep reads each line once.
+func NoL1Reuse(k *Kernel, part, nparts, cus, lineSize int, sched CUSchedule) bool {
+	wgLo, wgHi := Partition(k.WGs, nparts, part)
+	myWGs := wgHi - wgLo
+	for i := range k.Args {
+		a := &k.Args[i]
+		switch {
+		case a.Pattern == Indirect && a.Mode == Read:
+			return false
+		case a.Pattern == Broadcast && a.sweeps() > 1:
+			return false
+		case a.Pattern == Stencil && a.HaloLines > 0:
+			if dsLines(a.DS, lineSize)/k.WGs < a.HaloLines {
+				return false
+			}
+			for wg := 0; wg+1 < myWGs; wg++ {
+				cu := sched.cuOf(wg, myWGs, cus)
+				if cu == sched.cuOf(wg+1, myWGs, cus) ||
+					wg+2 < myWGs && cu == sched.cuOf(wg+2, myWGs, cus) {
+					return false
+				}
+			}
+		}
+		if !a.reads() {
+			continue
+		}
+		for j := range k.Args[:i] {
+			if b := &k.Args[j]; b.reads() && readSpan(a, lineSize).Overlaps(readSpan(b, lineSize)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// reads reports whether a may emit reads (conservatively for Indirect
+// read-modify-writes, which run as atomics).
+func (a *Arg) reads() bool {
+	return a.Mode == Read || a.ReadModifyWrite || a.Pattern == Stencil && a.HaloLines > 0
+}
+
+// readSpan returns the addresses any line a emits can take.
+func readSpan(a *Arg, lineSize int) mem.Range {
+	d := a.DS
+	return mem.Range{Lo: d.Base, Hi: d.Base + mem.Addr(dsLines(d, lineSize)*lineSize)}
+}
+
 // genIndirect emits data-dependent gathers/scatters for one WG: for each
 // line of the WG's share, touchesPerLine pseudo-random lines of the
 // structure (optionally restricted to a hot fraction) are accessed.

@@ -40,6 +40,10 @@ type Machine struct {
 	L2 []*mem.Cache   // [chiplet]
 	L3 []*mem.Cache   // [chiplet] banks of the shared LLC
 
+	// l1Elided makes the L1 entry points book their counters and flits
+	// without touching the caches (see ElideL1).
+	l1Elided bool
+
 	// l2BankBytes tracks service bytes per L2 bank: requests arriving at a
 	// bank occupy its arrays regardless of which chiplet sent them, which
 	// is what makes hot banks a bottleneck for NUCA-style designs.
@@ -222,11 +226,20 @@ func (m *Machine) CommitWriteback(line mem.Addr, ver uint32, from int) {
 // L1 level.
 // ---------------------------------------------------------------------------
 
+// ElideL1 turns the L1 lookups off or back on. The executor turns them off
+// for a kernel partition that provably cannot hit its L1s
+// (kernels.NoL1Reuse): every read then misses, so L1Read books the miss
+// without a lookup, and L1Fill and L1WriteThrough skip the caches, whose
+// contents the next launch's InvalidateL1s discards unread.
+func (m *Machine) ElideL1(on bool) { m.l1Elided = on }
+
 // L1Read looks up line in (chiplet, cu)'s L1. On a miss the caller fetches
 // from the L2 level and fills via L1Fill.
 func (m *Machine) L1Read(chiplet, cu int, line mem.Addr) (ver uint32, hit bool) {
 	m.Sheet.Inc(stats.L1Accesses)
-	ver, hit = m.L1[chiplet][cu].Read(line)
+	if !m.l1Elided {
+		ver, hit = m.L1[chiplet][cu].Read(line)
+	}
 	if hit {
 		m.Sheet.Inc(stats.L1Hits)
 	} else {
@@ -238,7 +251,9 @@ func (m *Machine) L1Read(chiplet, cu int, line mem.Addr) (ver uint32, hit bool) 
 
 // L1Fill installs a clean line into (chiplet, cu)'s L1.
 func (m *Machine) L1Fill(chiplet, cu int, line mem.Addr, ver uint32) {
-	m.L1[chiplet][cu].Fill(line, ver, false)
+	if !m.l1Elided {
+		m.L1[chiplet][cu].Fill(line, ver, false)
+	}
 }
 
 // L1WriteThrough models a store passing through the write-through,
@@ -246,7 +261,9 @@ func (m *Machine) L1Fill(chiplet, cu int, line mem.Addr, ver uint32) {
 // the L1-L2 link.
 func (m *Machine) L1WriteThrough(chiplet, cu int, line mem.Addr, ver uint32) {
 	m.Sheet.Inc(stats.L1Accesses)
-	m.L1[chiplet][cu].UpdateClean(line, ver)
+	if !m.l1Elided {
+		m.L1[chiplet][cu].UpdateClean(line, ver)
+	}
 	m.Fabric.L1L2(reqBytes + m.Cfg.LineSize)
 }
 

@@ -42,6 +42,13 @@ type Cache struct {
 
 	validLines int
 	dirtyLines int
+
+	// missLine is the line the last Read or Write missed, at epoch
+	// missEpoch (0: none, or a Fill since). Only Fill makes a line present,
+	// so until the next Fill missLine is known absent, and a Fill of it
+	// skips its presence scan.
+	missLine  Addr
+	missEpoch uint16
 }
 
 type way struct {
@@ -197,6 +204,7 @@ func (c *Cache) Read(line Addr) (ver uint32, hit bool) {
 			return ways[0].ver, true
 		}
 	}
+	c.missLine, c.missEpoch = line, c.epoch
 	return 0, false
 }
 
@@ -233,6 +241,7 @@ func (c *Cache) Write(line Addr, ver uint32) bool {
 			return true
 		}
 	}
+	c.missLine, c.missEpoch = line, c.epoch
 	return false
 }
 
@@ -264,22 +273,26 @@ func (c *Cache) UpdateClean(line Addr, ver uint32) bool {
 //cpelide:noalloc
 func (c *Cache) Fill(line Addr, ver uint32, dirty bool) EvictInfo {
 	ways, si := c.setWithIndex(line)
-	// Already present: update in place.
-	for i := range ways {
-		if ways[i].epoch == c.epoch && ways[i].tag == line {
-			moveToFront(ways, i)
-			if dirty && !ways[0].dirty {
-				c.dirtyLines++
-				c.markDirtySet(si)
+	// Already present: update in place. The line the last Read or Write
+	// missed is still absent, so its Fill skips this scan.
+	if line != c.missLine || c.missEpoch != c.epoch {
+		for i := range ways {
+			if ways[i].epoch == c.epoch && ways[i].tag == line {
+				moveToFront(ways, i)
+				if dirty && !ways[0].dirty {
+					c.dirtyLines++
+					c.markDirtySet(si)
+				}
+				if !dirty && ways[0].dirty {
+					c.dirtyLines--
+				}
+				ways[0].ver = ver
+				ways[0].dirty = dirty
+				return EvictInfo{}
 			}
-			if !dirty && ways[0].dirty {
-				c.dirtyLines--
-			}
-			ways[0].ver = ver
-			ways[0].dirty = dirty
-			return EvictInfo{}
 		}
 	}
+	c.missEpoch = 0
 	// Prefer an invalid way.
 	victim := -1
 	for i := range ways {
@@ -342,6 +355,7 @@ func (c *Cache) InvalidateAll() int {
 			c.sets[i] = way{}
 		}
 		c.epoch = 1
+		c.missEpoch = 0
 	} else {
 		c.epoch++
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/cp"
 	"repro/internal/gpu"
+	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -37,6 +38,7 @@ func TestAllBenchmarksAllProtocolsCoherent(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range chiplets {
 				cfg := DefaultConfig(n)
+				var l1 []*Report
 				for _, p := range allProtocols {
 					w := buildBench(t, name, scale)
 					rep, err := Run(cfg, w, Options{Protocol: p})
@@ -50,10 +52,45 @@ func TestAllBenchmarksAllProtocolsCoherent(t *testing.T) {
 					if rep.Cycles == 0 || rep.Accesses == 0 {
 						t.Errorf("%d chiplets / %v: empty run", n, p)
 					}
+					if p == ProtocolBaseline || p == ProtocolCPElide || p == ProtocolHMG {
+						l1 = append(l1, rep)
+					}
 				}
+				checkL1Elision(t, buildBench(t, name, scale), cfg, l1)
 			}
 		})
 	}
+}
+
+// l1Counters are the counters of the per-CU L1 level.
+var l1Counters = []stats.Counter{stats.L1Accesses, stats.L1Hits, stats.L1Misses, stats.FlitsL1L2}
+
+// checkL1Elision asserts what eliding the L1 relies on: the L1 counters
+// of w's Baseline, CPElide and HMG runs (reps) are equal, since no protocol
+// changes what the L1 sees; and a run with L1 hits has a partition that
+// kernels.NoL1Reuse refuses, since accepted partitions cannot hit.
+func checkL1Elision(t *testing.T, w *Workload, cfg Config, reps []*Report) {
+	t.Helper()
+	for _, rep := range reps[1:] {
+		for _, c := range l1Counters {
+			if got, want := rep.Sheet.Get(c), reps[0].Sheet.Get(c); got != want {
+				t.Errorf("%d chiplets: %s = %d under %s, %d under %s",
+					cfg.NumChiplets, c, got, rep.Protocol, want, reps[0].Protocol)
+			}
+		}
+	}
+	if reps[0].Sheet.Get(stats.L1Hits) == 0 {
+		return
+	}
+	for _, k := range w.Sequence {
+		for part := 0; part < cfg.NumChiplets; part++ {
+			if !kernels.NoL1Reuse(k, part, cfg.NumChiplets, cfg.CUsPerChiplet, cfg.LineSize, kernels.RoundRobinCU) {
+				return
+			}
+		}
+	}
+	t.Errorf("%d chiplets: %d L1 hits, yet every partition elides the L1",
+		cfg.NumChiplets, reps[0].Sheet.Get(stats.L1Hits))
 }
 
 // TestCPElideVariantsCoherent exercises the ablation configurations through
