@@ -80,9 +80,28 @@ func runBenchCase(t *testing.T, c benchCase, p Protocol) *Report {
 	return rep
 }
 
-// dispatchDigests runs two input families: the bench cases under every
-// protocol, then seeds 0-59 of the generated DAG family under every
-// protocol, with and without fault injection, on a small-cache machine.
+// variantCase is one boundary-plan variant of the generated DAG family,
+// pinned as variant/<seed>/<dag>/<protocol>/<name>/faults=<bool>.
+type variantCase struct {
+	Name   string
+	Opt    Options
+	Elided bool // CPElide only
+}
+
+var variantCases = []variantCase{
+	{Name: "driver", Opt: Options{DriverManaged: true}},
+	{Name: "sets=4", Opt: Options{SyncLatencySets: 4}},
+	{Name: "rangeops", Opt: Options{CPElideRangeOps: true}, Elided: true},
+	{Name: "mutate=drop-acquire", Opt: Options{Mutate: MutateDropAcquire}},
+	{Name: "mutate=drop-release", Opt: Options{Mutate: MutateDropRelease}},
+	{Name: "mutate=wrong-chiplet", Opt: Options{Mutate: MutateWrongChiplet}},
+}
+
+// dispatchDigests runs three input families: the bench cases under every
+// protocol; seeds 0-59 of the generated DAG family under every protocol,
+// with and without fault injection, on a small-cache machine; and seeds
+// 0-19 of that family under Baseline and CPElide with each variantCase
+// (mutated runs carry an oracle).
 func dispatchDigests(t *testing.T) []dispatchDigest {
 	t.Helper()
 	var out []dispatchDigest
@@ -116,6 +135,31 @@ func dispatchDigests(t *testing.T) []dispatchDigest {
 					t.Fatalf("%s: %v", name, err)
 				}
 				out = append(out, digestOf(t, name, rep, rec))
+			}
+		}
+	}
+
+	for seed := uint64(0); seed < 20; seed++ {
+		c := gen.Generate(seed, gen.Config{Chiplets: 4, MaxKernels: 6, MaxStreams: 4})
+		for _, p := range []Protocol{ProtocolBaseline, ProtocolCPElide} {
+			for _, v := range variantCases {
+				if v.Elided && p != ProtocolCPElide {
+					continue
+				}
+				for _, fc := range []*FaultConfig{nil, faulted} {
+					rec := NewTrace(0)
+					opt := v.Opt
+					opt.Protocol, opt.Placement, opt.PerKernelStats, opt.Trace, opt.Faults = p, c.Placement, true, rec, fc
+					if opt.Mutate != MutateNone {
+						opt.Oracle = NewOracle(p)
+					}
+					name := fmt.Sprintf("variant/%d/%s/%v/%s/faults=%t", seed, c.Name, p, v.Name, fc != nil)
+					rep, err := RunStreams(cfg, c.Specs, opt)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					out = append(out, digestOf(t, name, rep, rec))
+				}
 			}
 		}
 	}
