@@ -321,6 +321,30 @@ func (m Mutation) String() string {
 	return fmt.Sprintf("Mutation(%d)", int(m))
 }
 
+// apply weakens ops in place as m directs; WrongChiplet retargets each op
+// to the next of chiplets.
+func (m Mutation) apply(ops []coherence.SyncOp, chiplets int) []coherence.SyncOp {
+	out := ops[:0]
+	for _, op := range ops {
+		switch m {
+		case MutateDropAcquire:
+			if op.Kind == coherence.Acquire {
+				continue
+			}
+		case MutateDropRelease:
+			if op.Kind == coherence.Release {
+				continue
+			}
+		case MutateWrongChiplet:
+			op.Chiplet = (op.Chiplet + 1) % chiplets
+		case MutateNone:
+			// Pass-through; the op is kept as issued.
+		}
+		out = append(out, op)
+	}
+	return out
+}
+
 // ParseMutation parses the cmd/crosscheck -mutate syntax.
 func ParseMutation(s string) (Mutation, error) {
 	switch s {
@@ -538,20 +562,18 @@ func RunStreamsContext(ctx context.Context, cfg Config, specs []StreamSpec, opt 
 	default:
 		return nil, fmt.Errorf("cpelide: unknown protocol %v", opt.Protocol)
 	}
-	if opt.DriverManaged {
-		proto = &driverManagedProtocol{Protocol: proto, cycles: cfg.DriverRoundTripCycles()}
-	}
-	if opt.SyncLatencySets > 1 {
-		proto = &scaledSyncProtocol{Protocol: proto, sets: opt.SyncLatencySets}
-	}
-	if opt.Mutate != MutateNone {
-		// Outermost wrapper: observers (and the machine) see the weakened
-		// plan, exactly as a buggy CP would have issued it.
-		proto = &mutatedProtocol{Protocol: proto, kind: opt.Mutate, chiplets: cfg.NumChiplets}
-	}
 
 	x := gpu.New(m, proto, seed)
 	x.Sched = opt.Scheduler
+	x.LatencySets = opt.SyncLatencySets
+	if opt.DriverManaged {
+		x.HostRoundTrip = cfg.DriverRoundTripCycles()
+	}
+	if opt.Mutate != MutateNone {
+		x.Mutate = func(ops []coherence.SyncOp) []coherence.SyncOp {
+			return opt.Mutate.apply(ops, cfg.NumChiplets)
+		}
+	}
 	if opt.Oracle != nil {
 		if opt.NoRangeInfo {
 			return nil, fmt.Errorf("cpelide: the oracle requires range-precise annotations (NoRangeInfo declares whole-structure writes on every chiplet, making the last writer ambiguous)")
@@ -628,114 +650,4 @@ func RunStreamsContext(ctx context.Context, cfg Config, specs []StreamSpec, opt 
 		})
 	}
 	return rep, nil
-}
-
-// scaledSyncProtocol serializes N copies of every launch plan's
-// synchronization latency: the paper's conservative methodology for
-// projecting 8- and 16-chiplet overheads from a smaller simulation
-// (Section VI). The operations themselves run once; only their exposed
-// latency repeats, which overestimates larger systems (real ones would
-// overlap the extra chiplets' operations).
-type scaledSyncProtocol struct {
-	coherence.Protocol
-	sets int
-}
-
-func (p *scaledSyncProtocol) PreLaunch(l *coherence.Launch) coherence.SyncPlan {
-	plan := p.Protocol.PreLaunch(l)
-	plan.LatencyFactor = p.sets
-	return plan
-}
-
-// DegradeChiplet forwards watchdog degradation through the wrapper so a
-// wrapped stateful protocol still abandons its beliefs.
-func (p *scaledSyncProtocol) DegradeChiplet(c int) { degradeChiplet(p.Protocol, c) }
-
-// ConservativeReset forwards mid-plan interruption resets likewise.
-func (p *scaledSyncProtocol) ConservativeReset() { conservativeReset(p.Protocol) }
-
-// driverManagedProtocol charges the host round trip the driver-managed
-// alternative pays on every launch: the CP must ship scheduling decisions
-// to the driver and wait for its synchronization verdict (Section VI;
-// prior work shows the added latency hurts, which is why CPElide lives in
-// the global CP).
-type driverManagedProtocol struct {
-	coherence.Protocol
-	cycles int
-}
-
-func (p *driverManagedProtocol) PreLaunch(l *coherence.Launch) coherence.SyncPlan {
-	plan := p.Protocol.PreLaunch(l)
-	plan.HostRoundTripCycles += p.cycles
-	return plan
-}
-
-// DegradeChiplet forwards watchdog degradation through the wrapper so a
-// wrapped stateful protocol still abandons its beliefs.
-func (p *driverManagedProtocol) DegradeChiplet(c int) { degradeChiplet(p.Protocol, c) }
-
-// ConservativeReset forwards mid-plan interruption resets likewise.
-func (p *driverManagedProtocol) ConservativeReset() { conservativeReset(p.Protocol) }
-
-// mutatedProtocol weakens every synchronization plan the wrapped protocol
-// produces — mutation testing for the consistency machinery. It wraps
-// outermost so the executor, the machine, and any observer all see the
-// weakened plan.
-type mutatedProtocol struct {
-	coherence.Protocol
-	kind     Mutation
-	chiplets int
-}
-
-func (p *mutatedProtocol) PreLaunch(l *coherence.Launch) coherence.SyncPlan {
-	plan := p.Protocol.PreLaunch(l)
-	plan.Ops = p.mutateOps(plan.Ops)
-	return plan
-}
-
-func (p *mutatedProtocol) Finalize() coherence.SyncPlan {
-	plan := p.Protocol.Finalize()
-	plan.Ops = p.mutateOps(plan.Ops)
-	return plan
-}
-
-func (p *mutatedProtocol) mutateOps(ops []coherence.SyncOp) []coherence.SyncOp {
-	out := ops[:0]
-	for _, op := range ops {
-		switch p.kind {
-		case MutateDropAcquire:
-			if op.Kind == coherence.Acquire {
-				continue
-			}
-		case MutateDropRelease:
-			if op.Kind == coherence.Release {
-				continue
-			}
-		case MutateWrongChiplet:
-			op.Chiplet = (op.Chiplet + 1) % p.chiplets
-		case MutateNone:
-			// Pass-through; the op is kept as issued.
-		}
-		out = append(out, op)
-	}
-	return out
-}
-
-// DegradeChiplet forwards watchdog degradation through the wrapper so a
-// wrapped stateful protocol still abandons its beliefs.
-func (p *mutatedProtocol) DegradeChiplet(c int) { degradeChiplet(p.Protocol, c) }
-
-// ConservativeReset forwards mid-plan interruption resets likewise.
-func (p *mutatedProtocol) ConservativeReset() { conservativeReset(p.Protocol) }
-
-func degradeChiplet(p coherence.Protocol, c int) {
-	if d, ok := p.(coherence.Degradable); ok {
-		d.DegradeChiplet(c)
-	}
-}
-
-func conservativeReset(p coherence.Protocol) {
-	if d, ok := p.(coherence.Degradable); ok {
-		d.ConservativeReset()
-	}
 }

@@ -205,7 +205,7 @@ func TestWriteReadAcrossChipletsNeedsFlush(t *testing.T) {
 		t.Fatalf("checker missed the stale remote read (count=%d)", m.Mem.StaleReads())
 	}
 	// Now flush chiplet 0 and read again: fresh.
-	m.FlushL2(0)
+	m.FlushL2(0, mem.RangeSet{})
 	b.Access(1, 1, local, false, false)
 	if m.Mem.StaleReads() != 1 {
 		t.Error("read after flush still stale")

@@ -244,15 +244,6 @@ func (p *Protocol) DegradeChiplet(c int) {
 	p.M.Sheet.Inc(stats.TableDegradations)
 }
 
-// ConservativeReset implements coherence.Degradable for whole-run
-// interruptions (context cancel mid-plan): every chiplet's tracked state is
-// degraded, so a hypothetical resume could only over-synchronize.
-func (p *Protocol) ConservativeReset() {
-	for c := 0; c < p.M.Cfg.NumChiplets; c++ {
-		p.DegradeChiplet(c)
-	}
-}
-
 // Finalize flushes the chiplets the table still tracks as Dirty — the only
 // end-of-program releases CPElide needs.
 func (p *Protocol) Finalize() coherence.SyncPlan {

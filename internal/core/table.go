@@ -685,17 +685,6 @@ func (t *Table) DegradeChiplet(c int) {
 	t.Degradations++
 }
 
-// ConservativeReset abandons the table's beliefs about every chiplet, as
-// DegradeChiplet does for one. Used when a run is interrupted mid-plan (a
-// context cancel between a kernel's synchronization operations): some ops of
-// the boundary may have executed and some not, so no tracked state can be
-// trusted to mean "already synchronized".
-func (t *Table) ConservativeReset() {
-	for c := 0; c < t.cfg.Chiplets; c++ {
-		t.DegradeChiplet(c)
-	}
-}
-
 // ParityReset handles a detected SRAM parity error: no table state can be
 // trusted, so it returns exactly the baseline boundary — a full L2 flush and
 // invalidate on every chiplet — and empties the table. Call it BEFORE

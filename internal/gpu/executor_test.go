@@ -104,6 +104,48 @@ func TestLatencyFactorScalesExposure(t *testing.T) {
 	}
 }
 
+// planLog records the plans an Observer sees.
+type planLog struct{ launch, final []coherence.SyncPlan }
+
+func (o *planLog) OnLaunch(_ *coherence.Launch, p coherence.SyncPlan) { o.launch = append(o.launch, p) }
+func (o *planLog) OnFinalize(p coherence.SyncPlan)                    { o.final = append(o.final, p) }
+
+// TestPlanAdjustments checks where the executor's plan adjustments land:
+// latency sets and the driver round trip on launch plans only, the op
+// mutation on launch and finalize plans, all before the observer.
+func TestPlanAdjustments(t *testing.T) {
+	x, _ := setup(t)
+	obs := &planLog{}
+	x.Obs, x.LatencySets, x.HostRoundTrip = obs, 4, 1000
+	x.Mutate = func(ops []coherence.SyncOp) []coherence.SyncOp {
+		out := ops[:0]
+		for _, op := range ops {
+			if op.Kind == coherence.Release {
+				out = append(out, op)
+			}
+		}
+		return out
+	}
+	res := x.RunKernel(mkLaunch(10, 4096), false)
+	x.Finalize()
+	if len(obs.launch) != 1 || len(obs.final) != 1 {
+		t.Fatalf("observed %d launch and %d finalize plans", len(obs.launch), len(obs.final))
+	}
+	lp, fp := obs.launch[0], obs.final[0]
+	if lp.LatencyFactor != 4 || lp.HostRoundTripCycles != 1000 {
+		t.Errorf("launch plan factor %d, round trip %d; want 4, 1000", lp.LatencyFactor, lp.HostRoundTripCycles)
+	}
+	if fp.LatencyFactor != 0 || fp.HostRoundTripCycles != 0 {
+		t.Errorf("finalize plan factor %d, round trip %d; want 0, 0", fp.LatencyFactor, fp.HostRoundTripCycles)
+	}
+	if len(lp.Ops) != 4 || len(fp.Ops) != 4 {
+		t.Errorf("mutated plans hold %d and %d ops, want the 4 releases each", len(lp.Ops), len(fp.Ops))
+	}
+	if res.SyncCycles < 1000 {
+		t.Errorf("sync cycles %d hide the driver round trip", res.SyncCycles)
+	}
+}
+
 func TestComputeBoundKernelTime(t *testing.T) {
 	x, _ := setup(t)
 	l := mkLaunch(100000, 4096) // tiny memory, huge compute

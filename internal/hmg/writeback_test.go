@@ -151,7 +151,7 @@ func TestWriteBackFinalizeCommitsEverything(t *testing.T) {
 	}
 	// Execute the plan the way the executor would: flush each chiplet.
 	for _, op := range plan.Ops {
-		m.FlushL2(op.Chiplet)
+		m.FlushL2(op.Chiplet, op.Ranges)
 	}
 	for _, base := range addrs {
 		for off := 0; off < 6; off++ {
