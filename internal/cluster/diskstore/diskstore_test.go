@@ -189,37 +189,41 @@ func TestChecksumMismatchQuarantines(t *testing.T) {
 	}
 }
 
-// TestLegacyBareReport reads a pre-envelope file (bare report JSON) written
-// by an older worker: the migration path must serve it unchanged.
-func TestLegacyBareReport(t *testing.T) {
+// TestMissingSchemaQuarantines: an entry whose schema key is lost (here
+// renamed, so the JSON still parses) must fail closed and be quarantined,
+// not be served as an empty report.
+func TestMissingSchemaQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, rep := testKey(4), testReport(4)
-	raw, err := json.Marshal(rep)
+	key := testKey(4)
+	if err := s.Put(key, testReport(4)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, key[:2], key+".json")
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(dir, key[:2]), 0o755); err != nil {
+	renamed := bytes.Replace(b, []byte(`"schema":`), []byte(`"schemb":`), 1)
+	if bytes.Equal(renamed, b) {
+		t.Fatalf("no schema field in %s", b)
+	}
+	if err := os.WriteFile(path, renamed, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, key[:2], key+".json"), raw, 0o644); err != nil {
-		t.Fatal(err)
+	if rep, ok, err := s.Get(key); ok || rep != nil || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("schema-less entry: rep=%v ok=%v err=%v, want ErrCorrupt", rep, ok, err)
 	}
-	got, ok, err := s.Get(key)
-	if !ok || err != nil {
-		t.Fatalf("legacy get: ok=%v err=%v", ok, err)
-	}
-	b, _ := json.Marshal(got)
-	if !bytes.Equal(raw, b) {
-		t.Fatalf("legacy round trip not byte-identical:\n%s\n%s", raw, b)
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", key+".json")); err != nil {
+		t.Fatalf("schema-less file not quarantined: %v", err)
 	}
 }
 
 // TestUnknownSchemaQuarantines: a future envelope version this binary does
-// not understand must fail closed, not be misread as a legacy report.
+// not understand must fail closed.
 func TestUnknownSchemaQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
