@@ -25,6 +25,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -119,11 +120,19 @@ func (r JobRequest) checkLimits() error {
 }
 
 // Job converts the request into a farm job, rejecting requests beyond the
-// admission limits. The cluster coordinator uses it to compute a
-// submission's content hash for routing without running anything.
+// admission limits and streams that bind one chiplet twice. The cluster
+// coordinator uses it to compute a submission's content hash for routing
+// without running anything.
 func (r JobRequest) Job() (farm.Job, error) {
 	if err := r.checkLimits(); err != nil {
 		return farm.Job{}, err
+	}
+	for i, s := range r.Streams {
+		for j, c := range s.Chiplets {
+			if slices.Contains(s.Chiplets[:j], c) {
+				return farm.Job{}, fmt.Errorf("stream %d binds chiplet %d twice", i, c)
+			}
+		}
 	}
 	proto, err := parseProtocol(r.Protocol)
 	if err != nil {
