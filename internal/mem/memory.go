@@ -126,13 +126,3 @@ func (m *Memory) ImageHash() uint64 {
 	}
 	return h
 }
-
-// Reset clears all versions and violations.
-func (m *Memory) Reset() {
-	for i := range m.latest {
-		m.latest[i] = 0
-		m.committed[i] = 0
-	}
-	m.staleReads = 0
-	m.lastStale = 0
-}

@@ -69,10 +69,3 @@ func (p *PageTable) Pages() int { return len(p.homes) }
 
 // PageSize returns the placement granularity in bytes.
 func (p *PageTable) PageSize() int { return 1 << p.pageShift }
-
-// Reset clears all placements.
-func (p *PageTable) Reset() {
-	for i := range p.homes {
-		p.homes[i] = -1
-	}
-}

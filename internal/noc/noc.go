@@ -113,13 +113,3 @@ func (f *Fabric) DRAMBytes(chiplet int) uint64 { return f.dramBytes[chiplet] }
 
 // Chiplets returns the number of ports.
 func (f *Fabric) Chiplets() int { return len(f.portBytes) }
-
-// Reset zeroes the port and DRAM byte totals (the stats sheet is owned by
-// the caller).
-func (f *Fabric) Reset() {
-	for i := range f.portBytes {
-		f.portBytes[i] = 0
-		f.dramBytes[i] = 0
-	}
-	f.interGPUBytes = 0
-}

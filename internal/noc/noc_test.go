@@ -41,7 +41,7 @@ func TestPortAccounting(t *testing.T) {
 	}
 }
 
-func TestDRAMAccountingAndReset(t *testing.T) {
+func TestDRAMAccounting(t *testing.T) {
 	f := must(New(2, 16, stats.New(), nil))
 	f.DRAM(1, 256)
 	f.DRAM(1, 64)
@@ -50,10 +50,6 @@ func TestDRAMAccountingAndReset(t *testing.T) {
 	}
 	if f.Chiplets() != 2 {
 		t.Errorf("Chiplets = %d", f.Chiplets())
-	}
-	f.Reset()
-	if f.DRAMBytes(1) != 0 || f.PortBytes(1) != 0 {
-		t.Error("Reset incomplete")
 	}
 }
 
@@ -75,10 +71,6 @@ func TestInterGPUAccounting(t *testing.T) {
 	// Inter-GPU flits are a subset of remote flits.
 	if sheet.Get(stats.FlitsRemote) != 8 {
 		t.Errorf("remote flits = %d", sheet.Get(stats.FlitsRemote))
-	}
-	f.Reset()
-	if f.InterGPUBytes() != 0 {
-		t.Error("Reset missed inter-GPU bytes")
 	}
 }
 
